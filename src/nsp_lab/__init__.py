@@ -39,7 +39,6 @@ from .nsp import (
     NspVerdict,
     RegionMap,
     RobustnessProbe,
-    SearchSettings,
     Violation,
     ce1_membership,
     converse_constant,

@@ -24,6 +24,7 @@ import numpy as np
 
 from .experiments import (
     ExperimentConfig,
+    _fmt,
     config_hash,
     emit_plot_data,
     mc_probability,
@@ -37,14 +38,6 @@ from .width import tradeoff, width_extended, width_mc
 from .suite import run_suite
 
 __all__ = ["main"]
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        return f"{v:.17g}"
-    return str(v)
 
 
 def _jsonable(v):

@@ -30,6 +30,8 @@ SCALE_GRID_LO = 1e-6
 SCALE_GRID_HI = 1e6
 SCALE_GRID_POINTS = 61
 
-# Hard cap on explicit support enumeration; larger instances must supply
-# their own support sampler rather than silently degrade.
+# The one cap on explicit support enumeration; larger instances must supply
+# their own support sampler rather than silently degrade.  Certificates and
+# widths count the C(n, k) supports of size k; the ``enumerate`` solver
+# counts every support of size at most k, sum_{s <= k} C(n, s).
 SUPPORT_ENUMERATION_CAP = 100_000

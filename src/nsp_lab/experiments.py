@@ -18,7 +18,16 @@ import numpy as np
 
 from .config import TOL
 from .measures import CostFunction, builtin_measure, parse_measure
-from .nsp import Violation, erc_member, region_boundary_map, rrc_probe
+from .nsp import (
+    Violation,
+    _erc_from_scan,
+    _golden_max,
+    _rrc_from_scan,
+    _validated_scan,
+    region_boundary_map,
+)
+# unused here; nspbench/tracer.py intercepts these two names on this module
+from .nsp import erc_member, rrc_probe  # noqa: F401
 from .solver import adversarial_pair
 from .subspaces import (
     MeasurementMatrix,
@@ -67,8 +76,10 @@ class ExperimentConfig:
             raise ValueError(f"need 0 <= k < n, got k={self.k}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if any(d <= 0 for d in self.d_grid):
-            raise ValueError(f"d_grid entries must be positive, got {self.d_grid}")
+        if not all(0 < d < math.inf for d in self.d_grid):
+            raise ValueError(f"d_grid entries must be finite and positive, got {self.d_grid}")
+        if self.probe_budget < 1:
+            raise ValueError(f"probe_budget must be >= 1, got {self.probe_budget}")
         if self.matrix_source not in MATRIX_SOURCES:
             raise ValueError(f"matrix_source must be one of {MATRIX_SOURCES}")
         if self.matrix_source == "file" and not self.matrix_file:
@@ -143,12 +154,12 @@ def _run_trials(cfg: ExperimentConfig, indices) -> list:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, int(idx)]))
         try:
             sub = _trial_subspace(cfg, rng, fixed)
-            verdict = erc_member(sub, cost, cfg.k, seed=int(rng.integers(2**32)))
-            passes = []
-            for d in cfg.d_grid:
-                probe = rrc_probe(sub, cost, cfg.k, d, budget=cfg.probe_budget,
-                                  seed=int(rng.integers(2**32)))
-                passes.append(not probe.violated)
+            # one scan answers both questions, so the robust verdicts are
+            # drawn from the same candidates as the exact-recovery verdict
+            scan = _validated_scan(sub, cost, cfg.k, int(rng.integers(2**32)))
+            verdict = _erc_from_scan(sub, cost, cfg.k, scan)
+            passes = [not _rrc_from_scan(sub, cost, cfg.k, d, cfg.probe_budget, scan).violated
+                      for d in cfg.d_grid]
             out.append((True, verdict.member, verdict.margin, passes))
         except Exception:   # certificate failures are counted, never silent
             out.append((False, False, math.nan, [False] * len(cfg.d_grid)))
@@ -158,9 +169,10 @@ def _run_trials(cfg: ExperimentConfig, indices) -> list:
 def mc_probability(cfg: ExperimentConfig, threads: int = 1) -> MonteCarloSummary:
     """Estimate exact/robust recovery probabilities over random null spaces.
 
-    Per trial the null space is drawn (Gaussian matrix or Haar), membership
-    of the exact-recovery set is decided, and the perturbation probe runs at
-    every radius in the grid.  The containment of the robust set in the
+    Per trial the null space is drawn (Gaussian matrix or Haar) and scanned
+    once; membership of the exact-recovery set is decided from that scan,
+    and the perturbation probe attacks its candidates at every radius in the
+    grid.  The containment of the robust set in the
     exact set is asserted trial by trial, not just in expectation.
     """
     indices = list(range(cfg.trials))
@@ -268,7 +280,9 @@ def verify_counterexample1(
         vals = np.array([deficit(t) for t in search])
         i = int(np.argmax(vals))
         lo, hi = search[max(i - 1, 0)], search[min(i + 1, len(search) - 1)]
-        t_star, best = _golden_max_scalar(deficit, math.log(lo), math.log(hi))
+        lt, best = _golden_max(lambda lt: deficit(math.exp(lt)), math.log(lo), math.log(hi),
+                               iters=60)
+        t_star = math.exp(lt)
         if best < vals[i]:
             t_star, best = float(search[i]), float(vals[i])
         found = best > 0.0
@@ -287,24 +301,6 @@ def verify_counterexample1(
 
     passed = ok and bool((margins > 0).all())
     return Ce1Report(t_grid, margins, closed_err, float(margins.min()), entries, passed)
-
-
-def _golden_max_scalar(fun, log_lo, log_hi, iters: int = 60):
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = log_lo, log_hi
-    c, dd = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = fun(math.exp(c)), fun(math.exp(dd))
-    for _ in range(iters):
-        if fc >= fd:
-            b, dd, fd = dd, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(math.exp(c))
-        else:
-            a, c, fc = c, dd, fd
-            dd = a + inv_phi * (b - a)
-            fd = fun(math.exp(dd))
-    mid = math.exp(0.5 * (a + b))
-    return mid, fun(mid)
 
 
 # ---------------------------------------------------------------------------

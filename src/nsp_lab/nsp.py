@@ -34,7 +34,6 @@ from .subspaces import Subspace, as_rng
 Array = np.ndarray
 
 __all__ = [
-    "SearchSettings",
     "NspVerdict",
     "NscReport",
     "ErcVerdict",
@@ -53,48 +52,47 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SearchSettings:
-    """Search resolution knobs shared by the certificate routines."""
-
-    direction_grid: int = 720      # angles for dim 2, random directions beyond
-    refine_peaks: int = 5          # distinct landscape peaks refined per scan
-    refine_iters: int = 36         # golden-section iterations per refinement
-    scale_lo: float = SCALE_GRID_LO
-    scale_hi: float = SCALE_GRID_HI
-    scale_points: int = SCALE_GRID_POINTS
-    probe_candidates: int = 10     # (z, t) candidates attacked by the probe
-    attack_steps: int = 60         # ascent steps per perturbation attack
-    support_cap: int = SUPPORT_ENUMERATION_CAP
+# Search resolution, fixed for every certificate routine.
+DIRECTION_GRID = 720      # angles for dim 2, random directions beyond
+REFINE_PEAKS = 5          # distinct landscape peaks refined per scan
+REFINE_ITERS = 36         # golden-section iterations per refinement
+PROBE_CANDIDATES = 10     # (z, t) candidates attacked by the probe
+ATTACK_STEPS = 60         # ascent steps per perturbation attack
 
 
-DEFAULT_SETTINGS = SearchSettings()
-
-
-def _check_support_budget(n: int, k: int, settings: SearchSettings) -> None:
-    if math.comb(n, max(k, 0)) > settings.support_cap:
+def _check_support_budget(n: int, k: int) -> None:
+    if math.comb(n, max(k, 0)) > SUPPORT_ENUMERATION_CAP:
         raise ValueError(
             f"support space C({n},{k}) exceeds the enumeration cap "
-            f"{settings.support_cap}; supply a custom support sampler"
+            f"{SUPPORT_ENUMERATION_CAP}; supply a custom support sampler"
         )
 
 
-def _scale_grid(measure: SparsenessMeasure, settings: SearchSettings) -> Array:
+def _scale_grid(measure: SparsenessMeasure) -> Array:
     if measure.is_homogeneous:
         return np.array([1.0])
-    return np.geomspace(settings.scale_lo, settings.scale_hi, settings.scale_points)
+    return np.geomspace(SCALE_GRID_LO, SCALE_GRID_HI, SCALE_GRID_POINTS)
 
 
-def _topk_total(fv: Array, k: int) -> tuple[Array, Array]:
-    """Sum of the k largest entries along axis 1, and the full sum."""
-    tot = fv.sum(axis=1)
-    n = fv.shape[1]
+def _topk_total(fv: Array, k: int, axis: int) -> tuple[Array, Array]:
+    """Sum of the k largest entries along the coordinate ``axis``, and the
+    full sum.  Works on one vector (axis 0) and on (scale, n, cols) batches
+    (axis 1) alike; the top-k is read off one partition at n - k."""
+    tot = fv.sum(axis=axis)
+    n = fv.shape[axis]
     if k <= 0:
         return np.zeros_like(tot), tot
     if k >= n:
-        return tot.copy(), tot
-    part = np.partition(fv, n - k, axis=1)
-    return part[:, n - k:, :].sum(axis=1), tot
+        return tot, tot
+    top = (slice(None),) * axis + (slice(n - k, None),)
+    return np.partition(fv, n - k, axis=axis)[top].sum(axis=axis), tot
+
+
+def _slope(measure: SparsenessMeasure, t: Array) -> Array:
+    """Central-difference slope of F at t >= 0, step 1e-7 (1 + t), with the
+    lower point clipped at 0."""
+    h = 1e-7 * (1.0 + t)
+    return (measure.fn(t + h) - measure.fn(np.maximum(t - h, 0.0))) / (2.0 * h)
 
 
 def _q_columns(z_cols: Array, measure: SparsenessMeasure, k: int, scales: Array):
@@ -105,7 +103,7 @@ def _q_columns(z_cols: Array, measure: SparsenessMeasure, k: int, scales: Array)
     increase J(z_T) and decrease J(z_{T^c}).
     """
     fv = measure.fn(scales[:, None, None] * np.abs(z_cols)[None, :, :])
-    top, tot = _topk_total(fv, k)
+    top, tot = _topk_total(fv, k, axis=1)
     with np.errstate(invalid="ignore"):
         q = np.where(tot > 0, top / tot, 0.0)
     return q, fv.size
@@ -119,6 +117,8 @@ def _q_single(z: Array, measure: SparsenessMeasure, k: int, scales: Array):
 
 
 def _golden_max(fun, lo: float, hi: float, iters: int):
+    """Golden-section search for the maximum of ``fun`` on [lo, hi];
+    returns the final bracket's midpoint and ``fun`` there."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
@@ -143,32 +143,29 @@ class _Candidate:
     scale: float
 
 
-def _refine_scale(direction, measure, k, settings) -> tuple[float, float]:
+def _refine_scale(direction, measure, k) -> tuple[float, float]:
     """Maximize q over the amplitude within the allowed scale window."""
-    scales = _scale_grid(measure, settings)
+    scales = _scale_grid(measure)
     if scales.size == 1:
         q, _ = _q_single(direction, measure, k, scales)
         return q, 1.0
     q0, t0 = _q_single(direction, measure, k, scales)
     lg = math.log10(t0)
     step = math.log10(scales[1] / scales[0])
-    lo = max(math.log10(settings.scale_lo), lg - step)
-    hi = min(math.log10(settings.scale_hi), lg + step)
+    lo = max(math.log10(SCALE_GRID_LO), lg - step)
+    hi = min(math.log10(SCALE_GRID_HI), lg + step)
 
     def fun(lt):
-        f = measure.fn(10.0**lt * np.abs(direction))
-        tot = f.sum()
-        n = f.size
-        top = tot if k >= n else (0.0 if k <= 0 else np.partition(f, n - k)[n - k:].sum())
+        top, tot = _topk_total(measure.fn(10.0**lt * np.abs(direction)), k, axis=0)
         return top / tot if tot > 0 else 0.0
 
-    lt_best, q_best = _golden_max(fun, lo, hi, settings.refine_iters)
+    lt_best, q_best = _golden_max(fun, lo, hi, REFINE_ITERS)
     if q_best >= q0:
         return float(q_best), float(10.0**lt_best)
     return q0, t0
 
 
-def _scan_subspace(sub, measure, k, settings, rng) -> tuple[list, int]:
+def _scan_subspace(sub, measure, k, rng) -> tuple[list, int]:
     """Ranked (q, direction, scale) candidates over the subspace.
 
     dim 1: the generator itself.  dim 2: a half-circle angle grid with
@@ -176,16 +173,16 @@ def _scan_subspace(sub, measure, k, settings, rng) -> tuple[list, int]:
     unit directions with hill climbing from the best starts.
     """
     l = sub.dim
-    scales = _scale_grid(measure, settings)
+    scales = _scale_grid(measure)
     evals = 0
 
     if l == 1:
         direction = sub.basis[:, 0]
-        q, t = _refine_scale(direction, measure, k, settings)
+        q, t = _refine_scale(direction, measure, k)
         return [_Candidate(q, direction, t)], direction.size * scales.size
 
     if l == 2:
-        grid = settings.direction_grid
+        grid = DIRECTION_GRID
         ang = np.linspace(0.0, math.pi, grid, endpoint=False)
         w = np.vstack([np.cos(ang), np.sin(ang)])
         z_cols = sub.basis @ w
@@ -198,7 +195,7 @@ def _scan_subspace(sub, measure, k, settings, rng) -> tuple[list, int]:
         for idx in order:
             if all(min(abs(idx - p), grid - abs(idx - p)) > min_sep for p in peaks):
                 peaks.append(int(idx))
-            if len(peaks) >= settings.refine_peaks:
+            if len(peaks) >= REFINE_PEAKS:
                 break
 
         cands = []
@@ -209,29 +206,29 @@ def _scan_subspace(sub, measure, k, settings, rng) -> tuple[list, int]:
             return _q_single(z, measure, k, scales)[0]
 
         for p in peaks:
-            theta, _ = _golden_max(q_at_angle, ang[p] - step, ang[p] + step, settings.refine_iters)
+            theta, _ = _golden_max(q_at_angle, ang[p] - step, ang[p] + step, REFINE_ITERS)
             z = sub.basis @ np.array([math.cos(theta), math.sin(theta)])
-            qq, tt = _refine_scale(z, measure, k, settings)
-            evals += settings.refine_iters * scales.size
+            qq, tt = _refine_scale(z, measure, k)
+            evals += REFINE_ITERS * scales.size
             cands.append(_Candidate(qq, z, tt))
         cands.sort(key=lambda c: c.q, reverse=True)
         return cands, evals
 
     # dim >= 3: sampled directions plus hill climbing
-    w = rng.standard_normal((l, settings.direction_grid))
+    w = rng.standard_normal((l, DIRECTION_GRID))
     w /= np.linalg.norm(w, axis=0)
     z_cols = sub.basis @ w
     q, ev = _q_columns(z_cols, measure, k, scales)
     evals += ev
     per_col = q.max(axis=0)
-    order = np.argsort(per_col)[::-1][: settings.refine_peaks]
+    order = np.argsort(per_col)[::-1][:REFINE_PEAKS]
 
     cands = []
     for idx in order:
         wv = w[:, idx].copy()
         best_q, _ = _q_single(sub.basis @ wv, measure, k, scales)
         sigma = 0.5
-        for _ in range(settings.attack_steps):
+        for _ in range(ATTACK_STEPS):
             prop = wv + sigma * rng.standard_normal(l)
             prop /= np.linalg.norm(prop)
             qq, _ = _q_single(sub.basis @ prop, measure, k, scales)
@@ -243,13 +240,14 @@ def _scan_subspace(sub, measure, k, settings, rng) -> tuple[list, int]:
                 if sigma < 1e-4:
                     break
         z = sub.basis @ wv
-        qq, tt = _refine_scale(z, measure, k, settings)
+        qq, tt = _refine_scale(z, measure, k)
         cands.append(_Candidate(qq, z, tt))
     cands.sort(key=lambda c: c.q, reverse=True)
     return cands, evals
 
 
 def _support_of(u: Array, measure: SparsenessMeasure, k: int) -> tuple[int, ...]:
+    """The k coordinates :func:`_topk_total` sums: the top of a partition at n - k."""
     f = measure.fn(np.abs(u))
     if k <= 0:
         return ()
@@ -259,16 +257,8 @@ def _support_of(u: Array, measure: SparsenessMeasure, k: int) -> tuple[int, ...]
 
 
 def _deficit_raw(u: Array, measure: SparsenessMeasure, k: int) -> float:
-    f = measure.fn(np.abs(u))
-    tot = float(f.sum())
-    n = u.size
-    if k <= 0:
-        top = 0.0
-    elif k >= n:
-        top = tot
-    else:
-        top = float(np.partition(f, n - k)[n - k:].sum())
-    return 2.0 * top - tot
+    top, tot = _topk_total(measure.fn(np.abs(u)), k, axis=0)
+    return float(2.0 * top - tot)
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +285,20 @@ class NspVerdict:
         return self.status == "holds_strict"
 
 
-def nsp_check(
-    sub: Subspace,
-    cost: CostFunction,
-    k: int,
-    settings: SearchSettings = DEFAULT_SETTINGS,
-    seed: int = 0,
-) -> NspVerdict:
+def nsp_check(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NspVerdict:
     """Decide J(z_T) < J(z_{T^c}) for all nonzero z in the subspace, |T| <= k.
 
     Maximizes the normalized deficit over directions, amplitudes and
     supports.  ``fails`` carries a direct witness; ``holds_strict`` is a
-    search result at the configured resolution; ``boundary`` flags an
+    search result at the fixed search resolution; ``boundary`` flags an
     extremal deficit inside the strictness band, where the float answer is
     not decidable.
     """
-    _validate_problem(sub, cost, k, settings)
-    cands, evals = _scan_subspace(sub, cost.measure, k, settings, as_rng(seed))
+    return _nsp_from_scan(cost, k, _validated_scan(sub, cost, k, seed))
+
+
+def _nsp_from_scan(cost, k, scan) -> NspVerdict:
+    cands, evals = scan
     best = cands[0]
     deficit_norm = 2.0 * best.q - 1.0
     witness = best.scale * best.direction
@@ -325,13 +312,19 @@ def nsp_check(
     return NspVerdict(status, -deficit_norm, witness, support, evals)
 
 
-def _validate_problem(sub, cost, k, settings):
+def _validated_scan(sub, cost, k, seed) -> tuple[list, int]:
+    """Check the problem, then scan the subspace once.
+
+    The (candidates, evaluations) pair is all the private ``_*_from_scan``
+    deciders read, so one scan can answer every question about a subspace.
+    """
     n = sub.ambient_dim
     if cost.dimension != n:
         raise ValueError(f"cost dimension {cost.dimension} != ambient dimension {n}")
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got k={k}")
-    _check_support_budget(n, k, settings)
+    _check_support_budget(n, k)
+    return _scan_subspace(sub, cost.measure, k, as_rng(seed))
 
 
 @dataclass
@@ -350,13 +343,7 @@ class NscReport:
         return math.isfinite(self.theta)
 
 
-def nsc(
-    sub: Subspace,
-    cost: CostFunction,
-    k: int,
-    settings: SearchSettings = DEFAULT_SETTINGS,
-    seed: int = 0,
-) -> NscReport:
+def nsc(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NscReport:
     """Null space constant: sup over z of the maximal J(z_T)/J(z_{T^c}).
 
     Exact for one-dimensional subspaces with a homogeneous penalty (a single
@@ -365,8 +352,11 @@ def nsc(
     flagged as a lower bound.  A ratio with vanishing denominator (z
     supported inside T) is reported as +inf.
     """
-    _validate_problem(sub, cost, k, settings)
-    cands, evals = _scan_subspace(sub, cost.measure, k, settings, as_rng(seed))
+    return _nsc_from_scan(sub, cost, k, _validated_scan(sub, cost, k, seed))
+
+
+def _nsc_from_scan(sub, cost, k, scan) -> NscReport:
+    cands, evals = scan
     best = cands[0]
     witness = best.scale * best.direction
     support = _support_of(witness, cost.measure, k)
@@ -386,13 +376,7 @@ class ErcVerdict:
     method: str
 
 
-def erc_member(
-    sub: Subspace,
-    cost: CostFunction,
-    k: int,
-    settings: SearchSettings = DEFAULT_SETTINGS,
-    seed: int = 0,
-) -> ErcVerdict:
+def erc_member(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> ErcVerdict:
     """Membership of the exact-recovery set, with a margin.
 
     For homogeneous penalties the test is theta < 1 with margin 1 - theta
@@ -400,8 +384,12 @@ def erc_member(
     inequality search of :func:`nsp_check`, whose normalized margin is
     returned.
     """
+    return _erc_from_scan(sub, cost, k, _validated_scan(sub, cost, k, seed))
+
+
+def _erc_from_scan(sub, cost, k, scan) -> ErcVerdict:
     if cost.measure.is_homogeneous:
-        report = nsc(sub, cost, k, settings=settings, seed=seed)
+        report = _nsc_from_scan(sub, cost, k, scan)
         margin = -math.inf if not report.finite else 1.0 - report.theta
         return ErcVerdict(
             member=report.theta < 1.0,
@@ -410,7 +398,7 @@ def erc_member(
             theta=report.theta,
             method=report.method,
         )
-    verdict = nsp_check(sub, cost, k, settings=settings, seed=seed)
+    verdict = _nsp_from_scan(cost, k, scan)
     return ErcVerdict(
         member=verdict.holds,
         margin=verdict.margin,
@@ -481,9 +469,7 @@ def _attack_candidates(z, measure, k, radius):
     s = np.where(in_t, sgn, -sgn)
     cands.append(radius * s / np.linalg.norm(s))
     # marginal-gain weighting by the numerical slope of F
-    h = 1e-7 * (1.0 + np.abs(z))
-    slope = (measure.fn(np.abs(z) + h) - measure.fn(np.maximum(np.abs(z) - h, 0.0))) / (2 * h)
-    w = s * np.abs(slope)
+    w = s * np.abs(_slope(measure, np.abs(z)))
     nw = np.linalg.norm(w)
     if nw > 0:
         cands.append(radius * w / nw)
@@ -571,7 +557,6 @@ def rrc_probe(
     k: int,
     d: float,
     budget: int = 200_000,
-    settings: SearchSettings = DEFAULT_SETTINGS,
     seed: int = 0,
 ) -> RobustnessProbe:
     """Search for a perturbed-inequality violation at radius d.
@@ -581,16 +566,17 @@ def rrc_probe(
     A returned violation is re-verified by direct evaluation; a pass only
     certifies that the budgeted search found nothing.
     """
-    if d <= 0:
-        raise ValueError(f"need d > 0, got {d}")
+    if not 0 < d < math.inf:
+        raise ValueError(f"need finite d > 0, got {d}")
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
-    _validate_problem(sub, cost, k, settings)
-    measure = cost.measure
-    rng = as_rng(seed)
-    shrink = 1.0 - TOL.strict_shrink
+    return _rrc_from_scan(sub, cost, k, d, budget, _validated_scan(sub, cost, k, seed))
 
-    cands, evals = _scan_subspace(sub, measure, k, settings, rng)
+
+def _rrc_from_scan(sub, cost, k, d, budget, scan) -> RobustnessProbe:
+    measure = cost.measure
+    shrink = 1.0 - TOL.strict_shrink
+    cands, evals = scan
 
     def make_violation(z, n_vec):
         deficit = _deficit_raw(z + n_vec, measure, k)
@@ -604,7 +590,7 @@ def rrc_probe(
         return Violation(z, n_vec, support, deficit)
 
     # unperturbed failures first: any nonnegative deficit already violates
-    for cand in cands[: settings.probe_candidates]:
+    for cand in cands[:PROBE_CANDIDATES]:
         z = cand.scale * cand.direction
         if 2.0 * cand.q - 1.0 >= 0.0:
             v = make_violation(z, np.zeros(z.size))
@@ -614,9 +600,9 @@ def rrc_probe(
     # phase 1: cheap closed-form perturbations on every (direction, scale)
     # pair; for scale-sensitive penalties the violating amplitude may differ
     # from the amplitude maximizing the unperturbed deficit
-    scale_grid = _scale_grid(measure, settings)
+    scale_grid = _scale_grid(measure)
     pairs = []
-    for cand in cands[: settings.probe_candidates]:
+    for cand in cands[:PROBE_CANDIDATES]:
         if measure.is_homogeneous:
             trial_scales = [cand.scale]
         else:
@@ -637,7 +623,7 @@ def rrc_probe(
     # phase 2: gradient ascent from the most promising pairs only
     pairs.sort(key=lambda p: p[0], reverse=True)
     for _, z, radius, n0 in pairs[:4]:
-        val, n_vec, ev = _attack_ascend(z, measure, k, radius, n0, settings.attack_steps)
+        val, n_vec, ev = _attack_ascend(z, measure, k, radius, n0, ATTACK_STEPS)
         evals += ev
         if val >= 0.0:
             v = make_violation(z, n_vec)

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .config import TOL
+from .config import SUPPORT_ENUMERATION_CAP, TOL
 from .measures import CostFunction
 from .nsp import Violation, rrc_probe
-from .nsp import _attack_candidates, _deficit_raw, _support_of
+from .nsp import _attack_candidates, _deficit_raw, _slope, _support_of
 from .subspaces import MeasurementMatrix, as_rng, null_space
 
 Array = np.ndarray
@@ -36,8 +36,6 @@ __all__ = [
     "adversarial_pair",
     "empirical_robustness",
 ]
-
-ENUMERATE_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -55,6 +53,8 @@ class RecoveryProblem:
         y = np.asarray(self.y, dtype=float)
         if y.shape != (m,):
             raise ValueError(f"y must have shape ({m},), got {y.shape}")
+        if not np.isfinite(y).all():
+            raise ValueError("y must be finite")
         if self.cost.dimension != n:
             raise ValueError(f"cost dimension {self.cost.dimension} != {n}")
         if self.epsilon < 0:
@@ -79,9 +79,7 @@ def _grad_cost(cost: CostFunction, x: Array) -> Array:
     """Numerical subgradient of the separable cost, elementwise on an array;
     0 at coordinates pinned to zero (|x_i| < 1e-12), the kink convention."""
     ax = np.abs(x)
-    h = 1e-7 * (1.0 + ax)
-    slope = (cost.measure.fn(ax + h) - cost.measure.fn(np.maximum(ax - h, 0.0))) / (2.0 * h)
-    g = slope * np.sign(x)
+    g = _slope(cost.measure, ax) * np.sign(x)
     g[ax < 1e-12] = 0.0
     return g
 
@@ -92,8 +90,10 @@ def _enumerate_candidates(problem: RecoveryProblem, residual_tol: float):
     y = problem.y
     n = a.shape[1]
     total = sum(math.comb(n, s) for s in range(problem.k + 1))
-    if total > ENUMERATE_CAP:
-        raise ValueError(f"{total} supports exceed the enumeration cap {ENUMERATE_CAP}")
+    if total > SUPPORT_ENUMERATION_CAP:
+        raise ValueError(
+            f"{total} supports exceed the enumeration cap {SUPPORT_ENUMERATION_CAP}"
+        )
     out = []
     ynorm = np.linalg.norm(y)
     if ynorm <= residual_tol:
@@ -157,10 +157,15 @@ def solve_noiseless(
         x = x0.copy()
         mu, iters = 1.0, 0
         while True:
-            iters += 1
             q = (np.abs(x) + mu) ** (2.0 - p)
             aq = a.entries * q[None, :]
-            x_new = q * (a.entries.T @ np.linalg.solve(aq @ a.entries.T, y))
+            try:
+                x_new = q * (a.entries.T @ np.linalg.solve(aq @ a.entries.T, y))
+            except np.linalg.LinAlgError:
+                # A Q A^T turns singular once the weights collapse onto a
+                # sparse iterate; every iterate solves Ax = y, so stop there
+                break
+            iters += 1
             done = np.linalg.norm(x_new - x) <= 1e-12 * (1.0 + np.linalg.norm(x))
             x = x_new
             if iters % 10 == 0:
@@ -426,26 +431,6 @@ class RobustnessSweep:
     records: list = field(default_factory=list)
     max_ratio: dict = field(default_factory=dict)     # eps -> worst error/eps
     excluded: dict = field(default_factory=dict)      # eps -> non-converged count
-
-
-def write_trial_records_csv(path, records) -> None:
-    """One CSV row per trial record (vectors JSON-encoded in their cells)."""
-    import csv
-    import json
-
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epsilon", "error", "ratio", "cost_gap", "residual",
-                         "converged", "x_true", "x_hat", "solver_meta"])
-        for r in records:
-            writer.writerow([
-                f"{r.epsilon:.17g}", f"{r.error:.17g}",
-                f"{r.error / r.epsilon:.17g}" if r.epsilon > 0 else "inf",
-                f"{r.cost_gap:.17g}", f"{r.residual:.17g}", int(r.converged),
-                json.dumps([float(v) for v in r.x_true]),
-                json.dumps([float(v) for v in r.x_hat]),
-                r.solver_meta,
-            ])
 
 
 def empirical_robustness(

@@ -219,6 +219,8 @@ class MeasurementMatrix:
         m, n = a.shape
         if m >= n:
             raise ValueError(f"need m < n for an underdetermined system, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
         svals = np.linalg.svd(a, compute_uv=False)
         if svals[0] == 0 or svals[-1] <= max(m, n) * np.finfo(float).eps * svals[0]:
             raise ValueError("matrix is rank deficient; rows must be independent")

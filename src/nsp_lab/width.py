@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import SUPPORT_ENUMERATION_CAP
 from .measures import CostFunction
+from .nsp import _topk_total
 from .subspaces import as_rng
 
 Array = np.ndarray
@@ -121,13 +122,7 @@ def _sup_l1(g_abs: Array, k: int, chunk: int = 2048) -> Array:
 def _feasible_in_cone(u: Array, measure, k: int, scales: Array) -> Array:
     """Columns of u whose top-k cost reaches half the total at some scale."""
     fv = measure.fn(scales[:, None, None] * np.abs(u)[None, :, :])
-    tot = fv.sum(axis=1)
-    n = u.shape[0]
-    if k >= n:
-        top = tot
-    else:
-        part = np.partition(fv, n - k, axis=1)
-        top = part[:, n - k:, :].sum(axis=1)
+    top, tot = _topk_total(fv, k, axis=1)
     return ((2.0 * top - tot) >= 0.0).any(axis=0)
 
 

@@ -123,6 +123,17 @@ class TestExitCodes:
         assert main(["nsc", "--matrix", str(null_111_matrix), "--measure", "zap!",
                      "--k", "1"]) == 2
 
+    def test_non_finite_radius_is_usage_error(self, capsys):
+        assert main(["mc", "--n", "4", "--m", "2", "--k", "1", "--trials", "2",
+                     "--d-grid", "nan"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_matrix_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "A.csv"
+        path.write_text("# 2 3\n1,0,inf\n0,1,1\n")
+        assert main(["nsc", "--matrix", str(path), "--measure", "l1", "--k", "1"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_suite_unknown_name_is_usage_error(self):
         assert main(["suite", "--name", "everything"]) == 2
 

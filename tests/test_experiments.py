@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nsp_lab import nsp
 from nsp_lab.experiments import (
     ExperimentConfig,
     config_hash,
@@ -43,8 +44,11 @@ class TestConfig:
             ExperimentConfig(n=5, m=3, k=5)
         with pytest.raises(ValueError):
             ExperimentConfig(n=5, m=3, k=1, trials=0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ExperimentConfig(n=5, m=3, k=1, d_grid=(1e-3, bad))
         with pytest.raises(ValueError):
-            ExperimentConfig(n=5, m=3, k=1, d_grid=(0.0,))
+            ExperimentConfig(n=5, m=3, k=1, probe_budget=0)
         with pytest.raises(ValueError):
             ExperimentConfig(n=5, m=3, k=1, measure="nope")
         with pytest.raises(ValueError):
@@ -106,6 +110,29 @@ class TestMonteCarlo:
         summary = mc_probability(cfg)
         # one fixed matrix: every trial gives the same verdict
         assert summary.erc.p_hat in (0.0, 1.0)
+
+    def test_dimension_three_robust_within_exact(self):
+        # null spaces of dimension 3 are scanned with random directions; the
+        # exact and robust verdicts of a trial must come from the same scan,
+        # or a robust pass can land outside the exact-recovery set
+        cfg = ExperimentConfig(n=7, m=4, k=1, measure="l1", trials=5,
+                               d_grid=(1e-3,), seed=2338313444)
+        summary = mc_probability(cfg)
+        assert summary.failures == 0
+        assert summary.rrc[1e-3].successes <= summary.erc.successes
+
+    @pytest.mark.parametrize("d_grid", [(1e-3,), (1e-3, 1e-2, 1e-1)])
+    def test_one_scan_per_trial(self, monkeypatch, d_grid):
+        calls = []
+        scan = nsp._scan_subspace
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(nsp, "_scan_subspace", counted)
+        mc_probability(ExperimentConfig(n=5, m=3, k=1, trials=4, d_grid=d_grid, seed=2))
+        assert len(calls) == 4
 
     def test_exp_measure_matches_closed_form_stream(self):
         # same sample stream, exact agreement outside the boundary band

@@ -254,8 +254,9 @@ class TestRrcProbe:
                 assert erc_member(sub, cost(L1, 4), 1).member
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            rrc_probe(line(1, 1, 1), cost(L1, 3), 1, 0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                rrc_probe(line(1, 1, 1), cost(L1, 3), 1, bad)
         with pytest.raises(ValueError):
             rrc_probe(line(1, 1, 1), cost(L1, 3), 1, 0.1, budget=0)
 

@@ -166,6 +166,11 @@ class TestNullSpace:
         with pytest.raises(ValueError):
             MeasurementMatrix(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementMatrix(np.array([[1.0, 0.0, bad], [0.0, 1.0, 1.0]]))
+
     def test_round_trip_through_complement(self):
         rng = np.random.default_rng(8)
         sub = sample_haar(6, 2, rng)
