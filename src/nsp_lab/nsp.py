@@ -636,10 +636,10 @@ def _rrc_from_scan(sub, cost, k, d, budget, scan) -> RobustnessProbe:
 
 def robustness_constant(d: float, sigma_min: float) -> float:
     """Recovery-error constant guaranteed by radius-d robustness: 2(1+d)/(d sigma_min)."""
-    if d <= 0:
-        raise ValueError(f"need d > 0, got {d}")
-    if sigma_min <= 0:
-        raise ValueError(f"need sigma_min > 0, got {sigma_min}")
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError(f"need finite d > 0, got {d}")
+    if not (math.isfinite(sigma_min) and sigma_min > 0):
+        raise ValueError(f"need finite sigma_min > 0, got {sigma_min}")
     return 2.0 * (1.0 + d) / (d * sigma_min)
 
 
@@ -647,8 +647,8 @@ def converse_constant(d: float, sigma_max: float) -> float:
     """Constant below which robustness forces radius-d membership: 2(1-2d)/(d sigma_max)."""
     if not 0 < d < 0.5:
         raise ValueError(f"need 0 < d < 1/2, got {d}")
-    if sigma_max <= 0:
-        raise ValueError(f"need sigma_max > 0, got {sigma_max}")
+    if not (math.isfinite(sigma_max) and sigma_max > 0):
+        raise ValueError(f"need finite sigma_max > 0, got {sigma_max}")
     return 2.0 * (1.0 - 2.0 * d) / (d * sigma_max)
 
 

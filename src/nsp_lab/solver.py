@@ -57,8 +57,8 @@ class RecoveryProblem:
             raise ValueError("y must be finite")
         if self.cost.dimension != n:
             raise ValueError(f"cost dimension {self.cost.dimension} != {n}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not 0 <= self.k < n:
             raise ValueError(f"need 0 <= k < n, got k={self.k}")
         object.__setattr__(self, "y", y.copy())
@@ -209,12 +209,20 @@ def solve_noiseless(
 # Noisy solver: projected multistart descent
 # ---------------------------------------------------------------------------
 
+_EPS = float(np.finfo(float).eps)
+_NEWTON_STEPS = 60   # safeguard only: ill-conditioned A (cond 1e12) takes ~27
+
 def _project_columns(a: MeasurementMatrix, x_cols: Array, y: Array, radius: float) -> Array:
     """Project each column onto {x : ||Ax - y|| <= radius} (closest point).
 
     Works in the SVD coordinates of A: the null-space component is
     untouched; the row-space component solves a diagonal least-distance
-    problem whose multiplier is found by vectorized bisection.
+    problem.  Its multiplier lam is the root of the secular equation
+    phi(lam) = 1/||r / (1 + lam s^2)|| - 1/radius, which safeguarded
+    Newton solves for all columns at once (Moré & Sorensen, 1983).  Every
+    returned column is feasible: each multiplier ends on the feasible side
+    of the root, by a few geometric up-nudges or, for a column those leave
+    infeasible, by the bracket search.
     """
     u, s, vrow = a.row_space_factors
     b = u.T @ y
@@ -226,23 +234,53 @@ def _project_columns(a: MeasurementMatrix, x_cols: Array, y: Array, radius: floa
         return x_cols
     rn = r[:, need]
     s2 = (s * s)[:, None]
-    lam = np.full(rn.shape[1], 1.0)
-    # grow the multiplier until feasible, then bisect
-    for _ in range(70):
-        g = np.linalg.norm(rn / (1.0 + lam[None, :] * s2), axis=0)
-        too_big = g > radius
-        if not too_big.any():
-            break
-        lam[too_big] *= 8.0
-    hi = lam
-    lo = np.zeros_like(lam)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        g = np.linalg.norm(rn / (1.0 + mid[None, :] * s2), axis=0)
+
+    def resid(rr, lam):
+        return np.linalg.norm(rr / (1.0 + lam * s2), axis=0)
+
+    # phi is concave and increasing, so Newton from lam = 0 rises
+    # monotonically to the root and every iterate stays infeasible
+    lam = np.zeros(rn.shape[1])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            d = 1.0 + lam * s2
+            q = rn / d
+            g = np.linalg.norm(q, axis=0)
+            q /= g
+            step = (g / radius - 1.0) / (s2 * q * q / d).sum(axis=0)
+            step[g <= radius] = 0.0
+            lam += step
+            if (step <= 4.0 * _EPS * lam).all():
+                break
+    # a step overflows only for a radius near the underflow limit
+    lam[~np.isfinite(lam)] = 0.0
+    # Newton stops within rounding of the root, on either side: nudge the
+    # infeasible multipliers up by 4, 16, 64, ... ulps until feasible
+    g = resid(rn, lam)
+    for j in range(5):
         over = g > radius
-        lo = np.where(over, mid, lo)
-        hi = np.where(over, hi, mid)
-    lam = hi  # feasible side of the bracket
+        if not over.any():
+            break
+        lam[over] *= 1.0 + _EPS * 4.0 ** (j + 1)
+        g[over] = resid(rn[:, over], lam[over])
+    over = g > radius
+    if over.any():
+        # the nudges cannot move lam = 0: grow the multiplier until
+        # feasible, then bisect, keeping the feasible side of the bracket
+        ro = rn[:, over]
+        hi = np.full(ro.shape[1], 1.0)
+        for _ in range(70):
+            too_big = resid(ro, hi) > radius
+            if not too_big.any():
+                break
+            hi[too_big] *= 8.0
+        lo = np.zeros_like(hi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            bad = resid(ro, mid) > radius
+            lo = np.where(bad, mid, lo)
+            hi = np.where(bad, hi, mid)
+        lam[over] = hi
     cn = c[:, need]
     w = (cn + lam[None, :] * s[:, None] * b[:, None]) / (1.0 + lam[None, :] * s2)
     out = x_cols.copy()

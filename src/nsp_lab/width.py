@@ -213,8 +213,8 @@ def width_extended(
     between g and the section; the bound sup_{K_d} <= d ||g|| + sup_K is
     asserted for every draw.
     """
-    if d < 0:
-        raise ValueError(f"need d >= 0, got {d}")
+    if not (math.isfinite(d) and d >= 0):
+        raise ValueError(f"need finite d >= 0, got {d}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
     g = _gaussian_draws(cost.dimension, draws, seed)

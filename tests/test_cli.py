@@ -134,6 +134,19 @@ class TestExitCodes:
         assert main(["nsc", "--matrix", str(path), "--measure", "l1", "--k", "1"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_non_finite_noise_level_is_usage_error(self, null_111_matrix, tmp_path, capsys):
+        y_path = tmp_path / "y.csv"
+        write_matrix_csv(y_path, np.array([[1.0, 2.0]]))
+        for eps in ("nan", "inf"):
+            assert main(["recover", "--matrix", str(null_111_matrix), "--y", str(y_path),
+                         "--measure", "l1", "--k", "1", "--eps", eps]) == 2
+            assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_width_radius_is_usage_error(self, capsys):
+        assert main(["width", "--measure", "l1", "--n", "4", "--k", "1", "--draws", "50",
+                     "--d", "nan"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_suite_unknown_name_is_usage_error(self):
         assert main(["suite", "--name", "everything"]) == 2
 

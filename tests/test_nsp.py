@@ -270,12 +270,15 @@ class TestConstants:
         assert converse_constant(0.25, 2.0) == pytest.approx(2.0)
 
     def test_ranges(self):
-        with pytest.raises(ValueError):
-            robustness_constant(0.0, 1.0)
+        for d, sigma_min in ((0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                             (0.1, math.nan), (0.1, math.inf)):
+            with pytest.raises(ValueError):
+                robustness_constant(d, sigma_min)
         with pytest.raises(ValueError):
             converse_constant(0.5, 1.0)
-        with pytest.raises(ValueError):
-            converse_constant(0.1, 0.0)
+        for d, sigma_max in ((0.1, 0.0), (math.nan, 1.0), (0.1, math.nan), (0.1, math.inf)):
+            with pytest.raises(ValueError):
+                converse_constant(d, sigma_max)
 
 
 class TestCe1Membership:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nsp_lab import solver
 from nsp_lab.measures import CostFunction, builtin_measure
 from nsp_lab.nsp import Violation, nsc, robustness_constant, rrc_probe
 from nsp_lab.solver import (
@@ -113,6 +114,11 @@ class TestNoiseless:
         with pytest.raises(ValueError, match="finite"):
             RecoveryProblem(self.a, np.array([1.0, math.nan]), 0.0, self.cost, 1)
 
+    def test_non_finite_epsilon_rejected(self):
+        for eps in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="epsilon"):
+                RecoveryProblem(self.a, np.zeros(2), eps, self.cost, 1)
+
     def test_unknown_method(self):
         problem = RecoveryProblem(self.a, np.zeros(2), 0.0, self.cost, 1)
         with pytest.raises(ValueError):
@@ -198,6 +204,95 @@ class TestNoisy:
         problem = RecoveryProblem(self.a, np.zeros(2), 0.0, self.cost, 1)
         with pytest.raises(ValueError):
             solve_noisy(problem)
+
+
+def bisect_projection(a, x_cols, y, radius):
+    """The growth-and-bisect projection that the Newton solve replaced."""
+    u, s, vrow = a.row_space_factors
+    b = u.T @ y
+    c = vrow @ x_cols
+    r = s[:, None] * c - b[:, None]
+    need = np.linalg.norm(r, axis=0) > radius
+    if not need.any():
+        return x_cols
+    rn = r[:, need]
+    s2 = (s * s)[:, None]
+    lam = np.full(rn.shape[1], 1.0)
+    for _ in range(70):
+        too_big = np.linalg.norm(rn / (1.0 + lam[None, :] * s2), axis=0) > radius
+        if not too_big.any():
+            break
+        lam[too_big] *= 8.0
+    hi = lam
+    lo = np.zeros_like(lam)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        over = np.linalg.norm(rn / (1.0 + mid[None, :] * s2), axis=0) > radius
+        lo = np.where(over, mid, lo)
+        hi = np.where(over, hi, mid)
+    cn = c[:, need]
+    w = (cn + hi[None, :] * s[:, None] * b[:, None]) / (1.0 + hi[None, :] * s2)
+    out = x_cols.copy()
+    out[:, need] += vrow.T @ (w - cn)
+    return out
+
+
+class TestProjection:
+    EPS = np.finfo(float).eps
+
+    def cases(self):
+        """Random shapes, radii in [1e-4, 1] and column scales in [1e-2, 1e2];
+        every other column is moved halfway to the ball's centre, so it is
+        feasible on input."""
+        rng = np.random.default_rng(11)
+        for m, n in ((3, 5), (4, 6), (6, 8)):
+            for _ in range(40):
+                a = gaussian_measurement(m, n, rng)
+                y = rng.standard_normal(m)
+                radius = 10 ** rng.uniform(-4, 0)
+                x = rng.standard_normal((n, 12)) * 10 ** rng.uniform(-2, 2, size=12)
+                x0 = a.min_norm_solution(y)[:, None]
+                x[:, ::2] = x0 + 0.5 * (bisect_projection(a, x, y, radius)[:, ::2] - x0)
+                yield a, x, y, radius
+
+    def test_feasible_kkt_and_matches_bisection(self):
+        for a, x, y, radius in self.cases():
+            p = solver._project_columns(a, x, y, radius)
+            ent = a.entries
+            res = np.linalg.norm(ent @ p - y[:, None], axis=0)
+            # Ap - y is evaluated to within eps (||y|| + sigma_max ||p||)
+            rounding = self.EPS * (np.linalg.norm(y) + a.sigma_max * np.linalg.norm(p, axis=0))
+            assert (res <= radius + 256 * rounding).all()
+            inside = np.linalg.norm(ent @ x - y[:, None], axis=0) <= radius
+            assert inside.any() and not inside.all()
+            assert np.array_equal(p[:, inside], x[:, inside])
+            # KKT: x - p = mu A^T (Ap - y), mu >= 0, the constraint active
+            d = (x - p)[:, ~inside]
+            grad = ent.T @ (ent @ p[:, ~inside] - y[:, None])
+            mu = (d * grad).sum(axis=0) / (grad * grad).sum(axis=0)
+            assert (mu >= 0).all()
+            # the direction of Ap - y is known to rounding / radius
+            tol = 1e3 * self.EPS * (np.linalg.norm(x[:, ~inside], axis=0)
+                                    + np.linalg.norm(d, axis=0) * rounding[~inside]
+                                    / (self.EPS * radius))
+            assert (np.linalg.norm(d - mu * grad, axis=0) <= tol).all()
+            assert (np.abs(res[~inside] - radius) <= 256 * rounding[~inside]).all()
+            oracle = bisect_projection(a, x, y, radius)
+            scale = np.maximum(1.0, np.abs(oracle).max(axis=0))
+            assert (np.abs(p - oracle).max(axis=0) <= 1e-12 * scale).all()
+
+    def test_fallback_branch(self, monkeypatch):
+        a, x, y, radius = next(self.cases())
+        # a first Newton step that overflows leaves every column to the
+        # bracket search, which then returns the old code's result exactly
+        tiny = 1e-310
+        assert np.array_equal(solver._project_columns(a, x, y, tiny),
+                              bisect_projection(a, x, y, tiny))
+        # without Newton steps lam stays 0, which no nudge can move
+        monkeypatch.setattr(solver, "_NEWTON_STEPS", 0)
+        p = solver._project_columns(a, x, y, radius)
+        assert np.array_equal(p, bisect_projection(a, x, y, radius))
+        assert (np.linalg.norm(a.entries @ p - y[:, None], axis=0) <= radius * (1 + 1e-12)).all()
 
 
 class TestAdversarialPair:

@@ -87,6 +87,9 @@ class TestWidthMc:
             width_mc(l1_cost(4), 0, draws=10)
         with pytest.raises(ValueError):
             width_mc(l1_cost(4), 1, draws=0)
+        for d in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                width_extended(l1_cost(4), 1, d, draws=10)
 
 
 class TestWidthExtended:
