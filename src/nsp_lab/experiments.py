@@ -161,6 +161,8 @@ def _run_trials(cfg: ExperimentConfig, indices) -> list:
             passes = [not _rrc_from_scan(sub, cost, cfg.k, d, cfg.probe_budget, scan).violated
                       for d in cfg.d_grid]
             out.append((True, verdict.member, verdict.margin, passes))
+        except (TypeError, AttributeError, AssertionError):
+            raise           # programming errors, not certificate failures
         except Exception:   # certificate failures are counted, never silent
             out.append((False, False, math.nan, [False] * len(cfg.d_grid)))
     return out
@@ -267,21 +269,25 @@ def verify_counterexample1(
     q, _ = np.linalg.qr(np.column_stack([generator / np.linalg.norm(generator), np.eye(3)[:, :2]]))
     a = MeasurementMatrix(q[:, 1:].T)
 
+    def deficits(t, d):
+        # deficit of the perturbed inequality with the perturbation taking a
+        # (1 - d) bite out of the first coordinate at amplitude t, per (t, d)
+        vals = f(np.stack([2.0 * t, (1.0 - d) * t, t], axis=-1))
+        return vals[:, 0] - vals[:, 1] - vals[:, 2]
+
+    # the best amplitude of a grid per radius, refined for all radii in lockstep
+    search = np.geomspace(1e-8, 10.0, 600)
+    grid_vals = [deficits(search, d) for d in d_list]
+    peaks = [int(np.argmax(vals)) for vals in grid_vals]
+    radii = np.array(d_list, dtype=float)
+    lts, bests = _golden_max(
+        lambda lts: deficits(np.array([math.exp(lt) for lt in lts]), radii).tolist(),
+        [math.log(search[max(i - 1, 0)]) for i in peaks],
+        [math.log(search[min(i + 1, len(search) - 1)]) for i in peaks], iters=60)
+
     entries = []
     ok = True
-    for d in d_list:
-        # deficit of the perturbed inequality with the perturbation taking a
-        # (1 - d) bite out of the first coordinate at amplitude t
-        def deficit(t, _d=d):
-            vals = f(np.array([2.0 * t, (1.0 - _d) * t, t]))
-            return float(vals[0] - vals[1] - vals[2])
-
-        search = np.geomspace(1e-8, 10.0, 600)
-        vals = np.array([deficit(t) for t in search])
-        i = int(np.argmax(vals))
-        lo, hi = search[max(i - 1, 0)], search[min(i + 1, len(search) - 1)]
-        lt, best = _golden_max(lambda lt: deficit(math.exp(lt)), math.log(lo), math.log(hi),
-                               iters=60)
+    for d, vals, i, lt, best in zip(d_list, grid_vals, peaks, lts, bests):
         t_star = math.exp(lt)
         if best < vals[i]:
             t_star, best = float(search[i]), float(vals[i])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import GeneratorType
 
 import numpy as np
 
@@ -95,15 +96,19 @@ def _slope(measure: SparsenessMeasure, t: Array) -> Array:
     return (measure.fn(t + h) - measure.fn(np.maximum(t - h, 0.0))) / (2.0 * h)
 
 
-def _q_columns(z_cols: Array, measure: SparsenessMeasure, k: int, scales: Array):
-    """q = J(z_T)/J(z) maximized over supports, per (scale, column).
+def _q_columns(z: Array, measure: SparsenessMeasure, k: int, scales: Array, axis: int = 0):
+    """q = J(z_T)/J(z) maximized over supports, per (scale, direction).
+
+    The directions are the columns of ``z`` (axis 0 holds the coordinates)
+    or its rows (axis 1).  The refinements use rows, which reproduce
+    one-by-one evaluation bit for bit (see :func:`_deficit_rows`).
 
     For fixed z the maximizing support of size <= k is the top-k of the
     per-coordinate penalties, because moving any coordinate into T can only
     increase J(z_T) and decrease J(z_{T^c}).
     """
-    fv = measure.fn(scales[:, None, None] * np.abs(z_cols)[None, :, :])
-    top, tot = _topk_total(fv, k, axis=1)
+    fv = measure.fn(scales[:, None, None] * np.abs(z)[None, :, :])
+    top, tot = _topk_total(fv, k, axis=axis + 1)
     with np.errstate(invalid="ignore"):
         q = np.where(tot > 0, top / tot, 0.0)
     return q, fv.size
@@ -116,24 +121,42 @@ def _q_single(z: Array, measure: SparsenessMeasure, k: int, scales: Array):
     return float(q[i, 0]), float(scales[i])
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int):
-    """Golden-section search for the maximum of ``fun`` on [lo, hi];
-    returns the final bracket's midpoint and ``fun`` there."""
+def _golden_steps(lo: float, hi: float, iters: int):
+    """Golden-section search for the maximum on [lo, hi], as a coroutine:
+    it yields each point to evaluate and is sent the value there.  After
+    ``iters`` steps it yields the final bracket's midpoint."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
+    fc = yield c
+    fd = yield d
     for _ in range(iters):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = fun(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = fun(d)
-    mid = 0.5 * (a + b)
-    return mid, fun(mid)
+            fd = yield d
+    yield 0.5 * (a + b)
+
+
+def _golden_max(fun, lo, hi, iters: int):
+    """Golden-section search for the maximum of ``fun`` on each bracket
+    [lo[i], hi[i]], the brackets searched in lockstep.
+
+    ``fun`` maps a list of points, one per bracket, to a list of values, so
+    a step costs one call for all brackets.  Each bracket runs its own
+    :func:`_golden_steps`, so it takes exactly the steps a search on it
+    alone would take.  Returns the final brackets' midpoints and ``fun``
+    there.
+    """
+    searches = [_golden_steps(float(a), float(b), iters) for a, b in zip(lo, hi)]
+    points = [next(s) for s in searches]
+    for _ in range(iters + 2):
+        points = list(map(GeneratorType.send, searches, fun(points)))
+    return points, fun(points)
 
 
 @dataclass
@@ -143,26 +166,31 @@ class _Candidate:
     scale: float
 
 
-def _refine_scale(direction, measure, k) -> tuple[float, float]:
-    """Maximize q over the amplitude within the allowed scale window."""
+def _refine_scale(z_rows: Array, measure, k) -> list:
+    """Candidates for the directions in the rows of ``z_rows``, best first,
+    each at the amplitude maximizing q within the allowed scale window; the
+    rows' brackets are refined in lockstep."""
     scales = _scale_grid(measure)
-    if scales.size == 1:
-        q, _ = _q_single(direction, measure, k, scales)
-        return q, 1.0
-    q0, t0 = _q_single(direction, measure, k, scales)
-    lg = math.log10(t0)
-    step = math.log10(scales[1] / scales[0])
-    lo = max(math.log10(SCALE_GRID_LO), lg - step)
-    hi = min(math.log10(SCALE_GRID_HI), lg + step)
+    q, _ = _q_columns(z_rows, measure, k, scales, axis=1)
+    qs = q.max(axis=0).tolist()
+    ts = scales[q.argmax(axis=0)].tolist()
+    if scales.size > 1:
+        step = math.log10(scales[1] / scales[0])
+        lo = [max(math.log10(SCALE_GRID_LO), math.log10(t) - step) for t in ts]
+        hi = [min(math.log10(SCALE_GRID_HI), math.log10(t) + step) for t in ts]
+        abs_rows = np.abs(z_rows)
 
-    def fun(lt):
-        top, tot = _topk_total(measure.fn(10.0**lt * np.abs(direction)), k, axis=0)
-        return top / tot if tot > 0 else 0.0
+        def fun(lts):
+            amp = np.array([10.0**lt for lt in lts])
+            top, tot = _topk_total(measure.fn(amp[:, None] * abs_rows), k, axis=1)
+            return [p / s if s > 0 else 0.0 for p, s in zip(top.tolist(), tot.tolist())]
 
-    lt_best, q_best = _golden_max(fun, lo, hi, REFINE_ITERS)
-    if q_best >= q0:
-        return float(q_best), float(10.0**lt_best)
-    return q0, t0
+        for i, (lt, qb) in enumerate(zip(*_golden_max(fun, lo, hi, REFINE_ITERS))):
+            if qb >= qs[i]:
+                qs[i], ts[i] = qb, 10.0**lt
+    cands = [_Candidate(q, z, t) for q, z, t in zip(qs, z_rows, ts)]
+    cands.sort(key=lambda c: c.q, reverse=True)
+    return cands
 
 
 def _scan_subspace(sub, measure, k, rng) -> tuple[list, int]:
@@ -177,9 +205,7 @@ def _scan_subspace(sub, measure, k, rng) -> tuple[list, int]:
     evals = 0
 
     if l == 1:
-        direction = sub.basis[:, 0]
-        q, t = _refine_scale(direction, measure, k)
-        return [_Candidate(q, direction, t)], direction.size * scales.size
+        return _refine_scale(sub.basis[:, 0][None, :], measure, k), sub.ambient_dim * scales.size
 
     if l == 2:
         grid = DIRECTION_GRID
@@ -198,21 +224,20 @@ def _scan_subspace(sub, measure, k, rng) -> tuple[list, int]:
             if len(peaks) >= REFINE_PEAKS:
                 break
 
-        cands = []
         step = math.pi / grid
 
-        def q_at_angle(theta):
-            z = sub.basis @ np.array([math.cos(theta), math.sin(theta)])
-            return _q_single(z, measure, k, scales)[0]
+        def directions(thetas):
+            return np.array([sub.basis @ np.array([math.cos(t), math.sin(t)]) for t in thetas])
 
-        for p in peaks:
-            theta, _ = _golden_max(q_at_angle, ang[p] - step, ang[p] + step, REFINE_ITERS)
-            z = sub.basis @ np.array([math.cos(theta), math.sin(theta)])
-            qq, tt = _refine_scale(z, measure, k)
-            evals += REFINE_ITERS * scales.size
-            cands.append(_Candidate(qq, z, tt))
-        cands.sort(key=lambda c: c.q, reverse=True)
-        return cands, evals
+        def q_at_angles(thetas):
+            q, _ = _q_columns(directions(thetas), measure, k, scales, axis=1)
+            return q.max(axis=0).tolist()
+
+        thetas, _ = _golden_max(q_at_angles, [ang[p] - step for p in peaks],
+                                [ang[p] + step for p in peaks], REFINE_ITERS)
+        z_rows = directions(thetas)
+        evals += len(peaks) * REFINE_ITERS * scales.size
+        return _refine_scale(z_rows, measure, k), evals
 
     # dim >= 3: sampled directions plus hill climbing
     w = rng.standard_normal((l, DIRECTION_GRID))
@@ -223,7 +248,7 @@ def _scan_subspace(sub, measure, k, rng) -> tuple[list, int]:
     per_col = q.max(axis=0)
     order = np.argsort(per_col)[::-1][:REFINE_PEAKS]
 
-    cands = []
+    climbed = []
     for idx in order:
         wv = w[:, idx].copy()
         best_q, _ = _q_single(sub.basis @ wv, measure, k, scales)
@@ -239,11 +264,8 @@ def _scan_subspace(sub, measure, k, rng) -> tuple[list, int]:
                 sigma *= 0.85
                 if sigma < 1e-4:
                     break
-        z = sub.basis @ wv
-        qq, tt = _refine_scale(z, measure, k)
-        cands.append(_Candidate(qq, z, tt))
-    cands.sort(key=lambda c: c.q, reverse=True)
-    return cands, evals
+        climbed.append(sub.basis @ wv)
+    return _refine_scale(np.array(climbed), measure, k), evals
 
 
 def _support_of(u: Array, measure: SparsenessMeasure, k: int) -> tuple[int, ...]:
@@ -256,9 +278,17 @@ def _support_of(u: Array, measure: SparsenessMeasure, k: int) -> tuple[int, ...]
     return tuple(sorted(int(i) for i in np.argpartition(f, u.size - k)[u.size - k:]))
 
 
+def _deficit_rows(u_rows: Array, measure: SparsenessMeasure, k: int) -> Array:
+    """2 J(u_T) - J(u) over the best support T, per row.  Each row's
+    coordinates lie on the last, contiguous axis, where numpy sums them
+    exactly as it sums a lone vector, so a batch of rows gives bit for bit
+    the values of one-by-one evaluation."""
+    top, tot = _topk_total(measure.fn(np.abs(u_rows)), k, axis=1)
+    return 2.0 * top - tot
+
+
 def _deficit_raw(u: Array, measure: SparsenessMeasure, k: int) -> float:
-    top, tot = _topk_total(measure.fn(np.abs(u)), k, axis=0)
-    return float(2.0 * top - tot)
+    return float(_deficit_rows(u[None, :], measure, k)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -500,39 +530,45 @@ def _attack_candidates(z, measure, k, radius):
 
 
 def _attack_quick(z, measure, k, radius):
-    """Evaluate the closed-form perturbation starts only."""
-    best_n = np.zeros(z.size)
-    best = _deficit_raw(z, measure, k)
-    evals = 1
+    """Evaluate the closed-form perturbation starts only, in one batch.
+    The first start of highest deficit wins; no perturbation wins ties."""
+    starts = [np.zeros(z.size)]
     for n0 in _attack_candidates(z, measure, k, radius):
-        cur = n0
-        nrm = np.linalg.norm(cur)
-        if nrm > radius:
-            cur = cur * (radius / nrm)
-        val = _deficit_raw(z + cur, measure, k)
-        evals += 1
-        if val > best:
-            best, best_n = val, cur
-    return best, best_n, evals
+        nrm = np.linalg.norm(n0)
+        starts.append(n0 * (radius / nrm) if nrm > radius else n0)
+    vals = _deficit_rows(z + np.array(starts), measure, k)
+    i = int(np.argmax(vals))
+    return float(vals[i]), starts[i], len(starts)
 
 
 def _attack_ascend(z, measure, k, radius, n0, steps):
-    """Projected gradient ascent of the deficit over the perturbation ball."""
+    """Projected gradient ascent of the deficit over the perturbation ball.
+
+    The 2n central differences of a step are evaluated as one batch of
+    rows that reproduces a coordinate loop stepping ``cur[i]`` by +h, -2h
+    and +h in place: the coordinates before i have already taken that
+    round trip, which rounding need not return to where it started, so row
+    i holds the drifted values before i, the stepped value at i and the
+    untouched ones after it, and ``cur`` ends the step drifted.
+    """
+    n = z.size
     cur = n0.copy()
     val = _deficit_raw(z + cur, measure, k)
     evals = 1
     step = 0.25 * radius
     h = 1e-6 * radius
+    # per (row, coordinate): 0 untouched, 1 stepped up, 2 stepped down, 3 drifted
+    lower = np.tri(n, k=-1, dtype=int) * 3
+    pick = np.vstack([lower + np.eye(n, dtype=int), lower + 2 * np.eye(n, dtype=int)])
+    coord = np.arange(n)
     for _ in range(steps):
-        grad = np.zeros(z.size)
-        for i in range(z.size):
-            cur[i] += h
-            up = _deficit_raw(z + cur, measure, k)
-            cur[i] -= 2 * h
-            dn = _deficit_raw(z + cur, measure, k)
-            cur[i] += h
-            grad[i] = (up - dn) / (2 * h)
-        evals += 2 * z.size
+        up = cur + h
+        dn = up - 2 * h
+        drift = dn + h
+        vals = _deficit_rows(z + np.stack([cur, up, dn, drift])[pick, coord], measure, k)
+        grad = (vals[:n] - vals[n:]) / (2 * h)
+        cur = drift
+        evals += 2 * n
         gn = np.linalg.norm(grad)
         if gn == 0:
             break

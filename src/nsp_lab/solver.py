@@ -252,8 +252,11 @@ def _project_columns(a: MeasurementMatrix, x_cols: Array, y: Array, radius: floa
             lam += step
             if (step <= 4.0 * _EPS * lam).all():
                 break
-    # a step overflows only for a radius near the underflow limit
-    lam[~np.isfinite(lam)] = 0.0
+    # a radius near the underflow limit can drive lam s^2 to overflow,
+    # which would put the row-space point at 0 instead of b / s: such
+    # columns go through the bracket search, whose lam stays finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam[~np.isfinite(lam * s2.max())] = 0.0
     # Newton stops within rounding of the root, on either side: nudge the
     # infeasible multipliers up by 4, 16, 64, ... ulps until feasible
     g = resid(rn, lam)
@@ -299,10 +302,13 @@ def solve_noisy(
     """Minimize the cost over the residual ball ||Ax - y|| <= eps(1 - 1e-9).
 
     The strict inequality of the problem statement is realized by the
-    shrunk closed ball, which projection methods require; every output is
-    feasibility-checked.  Multistart projected subgradient descent; starts
-    include the min-norm solution, zero, random null-space offsets, sparse
-    least-squares candidates and any caller-provided starts.
+    shrunk closed ball, which projection methods require.  The returned
+    point is checked against epsilon with the solver slack
+    ``TOL.feasibility * (1 + ||y||)`` for the rounding of ||Ax - y||, and a
+    ValueError is raised if it lies outside.  Multistart projected
+    subgradient descent; starts include the min-norm solution, zero,
+    random null-space offsets, sparse least-squares candidates and any
+    caller-provided starts.
     """
     if problem.epsilon <= 0:
         raise ValueError("noisy solver requires epsilon > 0")
@@ -357,6 +363,9 @@ def solve_noisy(
         best_x, best_v = polished, cost.value(polished)
 
     residual = float(np.linalg.norm(a.entries @ best_x - y))
+    if not residual <= problem.epsilon + TOL.feasibility * (1.0 + np.linalg.norm(y)):
+        raise ValueError(f"no point found within epsilon={problem.epsilon:g} of y "
+                         f"(best residual {residual:g})")
     return SolveResult(
         best_x, best_v, residual, method, iters,
         note="projected multistart descent; global optimality not guaranteed",

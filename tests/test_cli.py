@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nsp_lab import solver
 from nsp_lab.cli import main
 from nsp_lab.measures import SparsenessMeasure
 from nsp_lab.subspaces import write_matrix_csv
@@ -141,6 +142,15 @@ class TestExitCodes:
             assert main(["recover", "--matrix", str(null_111_matrix), "--y", str(y_path),
                          "--measure", "l1", "--k", "1", "--eps", eps]) == 2
             assert "finite" in capsys.readouterr().err
+
+    def test_infeasible_solve_is_usage_error(self, null_111_matrix, tmp_path, capsys,
+                                             monkeypatch):
+        y_path = tmp_path / "y.csv"
+        write_matrix_csv(y_path, np.array([[1.0, 2.0]]))
+        monkeypatch.setattr(solver, "_project_columns", lambda a, x, y, radius: x)
+        assert main(["recover", "--matrix", str(null_111_matrix), "--y", str(y_path),
+                     "--measure", "l1", "--k", "1", "--eps", "0.1"]) == 2
+        assert "within epsilon" in capsys.readouterr().err
 
     def test_non_finite_width_radius_is_usage_error(self, capsys):
         assert main(["width", "--measure", "l1", "--n", "4", "--k", "1", "--draws", "50",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nsp_lab import nsp
+from nsp_lab import experiments, nsp
 from nsp_lab.experiments import (
     ExperimentConfig,
     config_hash,
@@ -133,6 +133,27 @@ class TestMonteCarlo:
         monkeypatch.setattr(nsp, "_scan_subspace", counted)
         mc_probability(ExperimentConfig(n=5, m=3, k=1, trials=4, d_grid=d_grid, seed=2))
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("error", [TypeError, AttributeError, AssertionError, ValueError])
+    def test_programming_errors_propagate(self, monkeypatch, error):
+        scan = experiments._validated_scan
+        calls = []
+
+        def fails_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise error("scan failed")
+            return scan(*args)
+
+        monkeypatch.setattr(experiments, "_validated_scan", fails_once)
+        cfg = ExperimentConfig(n=5, m=3, k=1, trials=3, seed=2)
+        if error is ValueError:
+            # a certificate that cannot be computed is counted as a failed trial
+            summary = mc_probability(cfg)
+            assert (summary.failures, summary.trials) == (1, 2)
+        else:
+            with pytest.raises(error, match="scan failed"):
+                mc_probability(cfg)
 
     def test_exp_measure_matches_closed_form_stream(self):
         # same sample stream, exact agreement outside the boundary band

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nsp_lab import nsp
 from nsp_lab.measures import CostFunction, builtin_measure
 from nsp_lab.nsp import (
     ce1_membership,
@@ -345,3 +346,231 @@ class TestRegionMap:
             region_boundary_map(L1, grid=(1, 5))
         with pytest.raises(ValueError):
             region_boundary_map(L1, grid=(5, 5), domain=(0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# One-at-a-time references for the batched searches.  The batches must
+# reproduce them bit for bit, so they are compared with ==, not a tolerance.
+# ---------------------------------------------------------------------------
+
+LP_HALF = builtin_measure("lp", p=0.5)
+MCP = builtin_measure("mcp_zap", alpha=2.0)
+SCAD = builtin_measure("scad")
+CONTINUOUS = (L1, LP_HALF, EXP, MCP, SCAD)
+
+
+def serial_golden_max(fun, lo, hi, iters):
+    """Golden-section search on one bracket, ``fun`` scalar to scalar."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fun(d)
+    mid = 0.5 * (a + b)
+    return mid, fun(mid)
+
+
+def serial_deficit(u, measure, k):
+    """2 J(u_T) - J(u) for one vector."""
+    top, tot = nsp._topk_total(measure.fn(np.abs(u)), k, axis=0)
+    return float(2.0 * top - tot)
+
+
+def serial_ascend(z, measure, k, radius, n0, steps):
+    """Projected gradient ascent with the gradient taken coordinate by coordinate."""
+    cur = n0.copy()
+    val = serial_deficit(z + cur, measure, k)
+    evals = 1
+    step = 0.25 * radius
+    h = 1e-6 * radius
+    for _ in range(steps):
+        grad = np.zeros(z.size)
+        for i in range(z.size):
+            cur[i] += h
+            up = serial_deficit(z + cur, measure, k)
+            cur[i] -= 2 * h
+            dn = serial_deficit(z + cur, measure, k)
+            cur[i] += h
+            grad[i] = (up - dn) / (2 * h)
+        evals += 2 * z.size
+        gn = np.linalg.norm(grad)
+        if gn == 0:
+            break
+        prop = cur + step * grad / gn
+        nrm = np.linalg.norm(prop)
+        if nrm > radius:
+            prop *= radius / nrm
+        pv = serial_deficit(z + prop, measure, k)
+        evals += 1
+        if pv > val:
+            cur, val = prop, pv
+        else:
+            step *= 0.5
+            if step < 1e-12 * radius:
+                break
+    return val, cur, evals
+
+
+def serial_quick(z, measure, k, radius):
+    """The closed-form perturbation starts, scored one at a time."""
+    best_n = np.zeros(z.size)
+    best = serial_deficit(z, measure, k)
+    evals = 1
+    for n0 in nsp._attack_candidates(z, measure, k, radius):
+        cur = n0
+        nrm = np.linalg.norm(cur)
+        if nrm > radius:
+            cur = cur * (radius / nrm)
+        val = serial_deficit(z + cur, measure, k)
+        evals += 1
+        if val > best:
+            best, best_n = val, cur
+    return best, best_n, evals
+
+
+def serial_refine_scale(direction, measure, k):
+    """Scale refinement of one direction."""
+    scales = nsp._scale_grid(measure)
+    q0, t0 = nsp._q_single(direction, measure, k, scales)
+    if scales.size == 1:
+        return q0, 1.0
+    lg = math.log10(t0)
+    step = math.log10(scales[1] / scales[0])
+    lo = max(math.log10(nsp.SCALE_GRID_LO), lg - step)
+    hi = min(math.log10(nsp.SCALE_GRID_HI), lg + step)
+
+    def fun(lt):
+        top, tot = nsp._topk_total(measure.fn(10.0**lt * np.abs(direction)), k, axis=0)
+        return top / tot if tot > 0 else 0.0
+
+    lt_best, q_best = serial_golden_max(fun, lo, hi, nsp.REFINE_ITERS)
+    if q_best >= q0:
+        return float(q_best), float(10.0**lt_best)
+    return q0, t0
+
+
+def serial_scan(sub, measure, k, rng=None):
+    """Scan of a line or a plane with the peaks refined one at a time."""
+    scales = nsp._scale_grid(measure)
+    if sub.dim == 1:
+        direction = sub.basis[:, 0]
+        q, t = serial_refine_scale(direction, measure, k)
+        return [nsp._Candidate(q, direction, t)], direction.size * scales.size
+    assert sub.dim == 2
+    grid = nsp.DIRECTION_GRID
+    ang = np.linspace(0.0, math.pi, grid, endpoint=False)
+    q, evals = nsp._q_columns(sub.basis @ np.vstack([np.cos(ang), np.sin(ang)]), measure, k, scales)
+    per_col = q.max(axis=0)
+    peaks = []
+    min_sep = max(2, grid // 90)
+    for idx in np.argsort(per_col)[::-1]:
+        if all(min(abs(idx - p), grid - abs(idx - p)) > min_sep for p in peaks):
+            peaks.append(int(idx))
+        if len(peaks) >= nsp.REFINE_PEAKS:
+            break
+
+    def direction(theta):
+        return sub.basis @ np.array([math.cos(theta), math.sin(theta)])
+
+    def q_at_angle(theta):
+        return nsp._q_single(direction(theta), measure, k, scales)[0]
+
+    cands = []
+    step = math.pi / grid
+    for p in peaks:
+        theta, _ = serial_golden_max(q_at_angle, ang[p] - step, ang[p] + step, nsp.REFINE_ITERS)
+        z = direction(theta)
+        qq, tt = serial_refine_scale(z, measure, k)
+        evals += nsp.REFINE_ITERS * scales.size
+        cands.append(nsp._Candidate(qq, z, tt))
+    cands.sort(key=lambda c: c.q, reverse=True)
+    return cands, evals
+
+
+def random_attack(rng, n):
+    z = rng.standard_normal(n) * 10 ** rng.uniform(-2, 1)
+    radius = 10 ** rng.uniform(-4, 0) * float(np.linalg.norm(z))
+    n0 = rng.standard_normal(n)
+    n0 *= rng.uniform(0.0, 1.5) * radius / np.linalg.norm(n0)
+    return z, radius, n0
+
+
+class TestBatchedSearch:
+    def test_ascent_matches_coordinate_loop(self):
+        rng = np.random.default_rng(41)
+        for n in range(2, 14):
+            for k in range(n):
+                for measure in CONTINUOUS:
+                    z, radius, n0 = random_attack(rng, n)
+                    val, cur, evals = nsp._attack_ascend(z, measure, k, radius, n0, nsp.ATTACK_STEPS)
+                    ref_val, ref_cur, ref_evals = serial_ascend(z, measure, k, radius, n0,
+                                                                nsp.ATTACK_STEPS)
+                    assert (val, evals) == (ref_val, ref_evals), (n, k, measure.name)
+                    assert np.array_equal(cur, ref_cur), (n, k, measure.name)
+
+    def test_quick_attack_matches_loop(self):
+        rng = np.random.default_rng(42)
+        for n in range(2, 14):
+            for k in range(n):
+                for measure in CONTINUOUS:
+                    z, radius, _ = random_attack(rng, n)
+                    val, n_vec, evals = nsp._attack_quick(z, measure, k, radius)
+                    ref_val, ref_n, ref_evals = serial_quick(z, measure, k, radius)
+                    assert (val, evals) == (ref_val, ref_evals)
+                    assert np.array_equal(n_vec, ref_n)
+
+    def test_lockstep_golden_matches_single_searches(self):
+        rng = np.random.default_rng(43)
+        funs = [
+            lambda x: -abs(math.sin(3.0 * x) - 0.2),
+            lambda x: math.floor(4.0 * math.cos(x)),    # plateaus: fc == fd ties
+            lambda x: -((x - 0.3) ** 2),
+        ]
+        for fun in funs:
+            lo = rng.uniform(-3.0, 1.0, size=7)
+            hi = lo + rng.uniform(1e-6, 4.0, size=7)
+            mids, vals = nsp._golden_max(lambda xs: [fun(x) for x in xs], lo, hi, 36)
+            for i in range(lo.size):
+                assert (mids[i], vals[i]) == serial_golden_max(fun, float(lo[i]), float(hi[i]), 36)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_scan_matches_single_refinements(self, dim):
+        rng = np.random.default_rng(44 + dim)
+        for n in range(dim + 1, 14):
+            for measure in CONTINUOUS:
+                sub = sample_haar(n, dim, rng)
+                k = int(rng.integers(0, min(n, 4)))
+                cands, evals = nsp._scan_subspace(sub, measure, k, None)
+                ref, ref_evals = serial_scan(sub, measure, k)
+                assert evals == ref_evals
+                assert [(c.q, c.scale) for c in cands] == [(c.q, c.scale) for c in ref]
+                for c, r in zip(cands, ref):
+                    assert np.array_equal(c.direction, r.direction)
+
+    def test_probe_matches_single_evaluation_search(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        cases = []
+        for n, dim, measure in [(3, 1, EXP), (4, 1, L1), (4, 2, L1), (5, 2, MCP),
+                                (6, 2, LP_HALF), (9, 2, SCAD), (5, 2, EXP)]:
+            sub = sample_haar(n, dim, rng)
+            for d in (1e-3, 0.1):
+                cases.append((sub, cost(measure, n), d))
+        batched = [rrc_probe(sub, c, 1, d, budget=20_000) for sub, c, d in cases]
+        monkeypatch.setattr(nsp, "_scan_subspace", serial_scan)
+        monkeypatch.setattr(nsp, "_attack_quick", serial_quick)
+        monkeypatch.setattr(nsp, "_attack_ascend", serial_ascend)
+        for got, (sub, c, d) in zip(batched, cases):
+            ref = rrc_probe(sub, c, 1, d, budget=20_000)
+            assert (got.outcome, got.evaluations) == (ref.outcome, ref.evaluations)
+            if ref.violated:
+                assert np.array_equal(got.violation.z, ref.violation.z)
+                assert np.array_equal(got.violation.n_vec, ref.violation.n_vec)
+                assert got.violation.deficit == ref.violation.deficit

@@ -205,6 +205,35 @@ class TestNoisy:
         with pytest.raises(ValueError):
             solve_noisy(problem)
 
+    def test_infeasible_output_rejected(self, monkeypatch):
+        # a projection that leaves its input alone: zero, of least cost,
+        # stays ||y|| away from y
+        monkeypatch.setattr(solver, "_project_columns", lambda a, x, y, radius: x)
+        problem = RecoveryProblem(self.a, self.a.entries @ self.x_bar, 0.1, self.cost, 1)
+        with pytest.raises(ValueError, match="within epsilon"):
+            solve_noisy(problem, iters=5)
+
+    def test_small_epsilon_accepted(self):
+        # ||Ax - y|| is evaluated to within a few ulps of ||y||, far above eps
+        for seed in range(6):
+            rng = np.random.default_rng(100 + seed)
+            a = gaussian_measurement(3, 5, rng)
+            y = rng.standard_normal(3)
+            y *= 5.0 / np.linalg.norm(y)
+            for eps in (1e-7, 1e-8, 1e-10):
+                problem = RecoveryProblem(a, y, eps, CostFunction(L1, 5), 1)
+                res = solve_noisy(problem, seed=seed, iters=40)
+                assert res.residual <= eps + 1e-9 * (1.0 + np.linalg.norm(y))
+
+    def test_radius_near_underflow_limit(self):
+        # the multiplier overflows; the projection must still land on Ax = y
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            a = MeasurementMatrix(rng.standard_normal((2, 3)))
+            problem = RecoveryProblem(a, rng.standard_normal(2), 1e-310, self.cost, 1)
+            res = solve_noisy(problem, iters=40)
+            assert res.residual < 1e-14
+
 
 def bisect_projection(a, x_cols, y, radius):
     """The growth-and-bisect projection that the Newton solve replaced."""
