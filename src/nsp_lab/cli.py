@@ -313,6 +313,9 @@ def _cmd_mc(args) -> int:
         matrix_file=args.matrix,
     )
     summary = mc_probability(cfg, threads=args.threads or 1)
+    if not summary.trials:
+        print(f"nsp-lab: all {summary.failures} trials failed", file=sys.stderr)
+        return 1
     rows = [{
         "quantity": "erc",
         "estimate": summary.erc.p_hat,

@@ -32,6 +32,7 @@ SCALE_GRID_POINTS = 61
 
 # The one cap on explicit support enumeration; larger instances must supply
 # their own support sampler rather than silently degrade.  Certificates and
-# widths count the C(n, k) supports of size k; the ``enumerate`` solver
-# counts every support of size at most k, sum_{s <= k} C(n, s).
+# the generic (non-l1) widths count the C(n, k) supports of size k; the
+# ``enumerate`` solver counts every support of size at most k,
+# sum_{s <= k} C(n, s).  The l1 width enumerates no supports.
 SUPPORT_ENUMERATION_CAP = 100_000

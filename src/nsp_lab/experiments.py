@@ -204,6 +204,10 @@ def mc_probability(cfg: ExperimentConfig, threads: int = 1) -> MonteCarloSummary
                         "robust pass on a trial outside the exact-recovery set"
                     )
     n_valid = len(valid)
+    if not n_valid:  # no point estimate, vacuous intervals
+        vacuous = WilsonInterval(0, 0, math.nan, 0.0, 1.0)
+        return MonteCarloSummary(cfg, 0, vacuous, {d: vacuous for d in cfg.d_grid},
+                                 math.nan, failures)
     return MonteCarloSummary(
         config=cfg,
         trials=n_valid,

@@ -78,13 +78,16 @@ def _scale_grid(measure: SparsenessMeasure) -> Array:
 def _topk_total(fv: Array, k: int, axis: int) -> tuple[Array, Array]:
     """Sum of the k largest entries along the coordinate ``axis``, and the
     full sum.  Works on one vector (axis 0) and on (scale, n, cols) batches
-    (axis 1) alike; the top-k is read off one partition at n - k."""
+    (axis 1) alike; the top-k is read off one partition at n - k, or for
+    k = 1 is the maximum, the same number without the partition."""
     tot = fv.sum(axis=axis)
     n = fv.shape[axis]
     if k <= 0:
         return np.zeros_like(tot), tot
     if k >= n:
         return tot, tot
+    if k == 1:
+        return fv.max(axis=axis), tot
     top = (slice(None),) * axis + (slice(n - k, None),)
     return np.partition(fv, n - k, axis=axis)[top].sum(axis=axis), tot
 

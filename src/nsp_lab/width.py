@@ -4,9 +4,11 @@ The failure set of a separable penalty at sparsity k is a symmetric cone;
 its spherical section K collects unit vectors whose top-k cost is at least
 half the total.  A Haar-random subspace avoids K with probability governed
 by the Gaussian width w(K) = E sup_{x in K} g.x, which this module
-estimates by Monte Carlo: per draw, the supremum is solved exactly for the
-l1 cost (a convex cone projection per support class) and by a feasible
-line-search lower bound otherwise.
+estimates by Monte Carlo.  Per draw, the supremum is exact for the l1
+cost: the top-k support of |g| attains it (rearrangement), and its value
+is the norm of one convex cone projection whose multiplier has a closed
+form.  Other penalties get a feasible line-search lower bound from every
+support of size k, in batches of a fixed number of penalty values.
 
 Because the failure cone is a union of rays, the d-extended section is the
 angular d-neighborhood of K, so its per-draw supremum follows from the
@@ -22,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SUPPORT_ENUMERATION_CAP
 from .measures import CostFunction
-from .nsp import _topk_total
+from .nsp import _check_support_budget, _topk_total
 from .subspaces import as_rng
 
 Array = np.ndarray
@@ -65,58 +66,28 @@ def _gaussian_draws(n: int, draws: int, seed) -> Array:
     return as_rng(seed).standard_normal((n, draws))
 
 
-def _support_masks(n: int, k: int) -> Array:
-    count = math.comb(n, k)
-    if count > SUPPORT_ENUMERATION_CAP:
-        raise ValueError(
-            f"C({n},{k}) = {count} supports exceed the enumeration cap; "
-            "request the multistart inner search"
-        )
-    masks = np.zeros((count, n), dtype=bool)
-    for i, T in enumerate(itertools.combinations(range(n), k)):
-        masks[i, list(T)] = True
-    return masks
+def _sup_l1(g_abs: Array, k: int) -> Array:
+    """Exact per-draw sup of g.x over the l1 failure section, 0 < k < n.
 
-
-def _sup_l1(g_abs: Array, k: int, chunk: int = 2048) -> Array:
-    """Exact per-draw sup of g.x over the l1 failure section.
-
-    Per support class the problem reduces, after aligning signs with g, to
-    maximizing a linear functional over the unit sphere of the convex cone
-    {v >= 0, sum_T v >= sum_{T^c} v}; the maximum is the norm of the cone
-    projection of |g|, computed by bisecting the mass-balance equation.
+    Sorting a feasible x like a = |g| keeps it feasible and does not lower
+    g.x, so the top-k support T of a attains the sup: the norm of the
+    projection (a_T + t, (a_{T^c} - t)_+) of a onto the cone
+    {v >= 0, sum_T v >= sum_{T^c} v}.  Its multiplier is
+    t = max_j (S_j - sum_T a)/(k + j), S_j the sum of the j largest of a_{T^c}.
     """
-    n, total_draws = g_abs.shape
-    if k >= n:
-        return np.linalg.norm(g_abs, axis=0)
-    masks = _support_masks(n, k)
-    mf = masks.astype(float)
-    out = np.empty(total_draws)
-    for start in range(0, total_draws, chunk):
-        a = g_abs[:, start:start + chunk]
-        norms = np.linalg.norm(a, axis=0)
-        st = mf @ a                       # (S, D) mass on T
-        tot = a.sum(axis=0)
-        slack = 2.0 * st - tot            # >= 0 means g itself is in the class
-        lo = np.zeros_like(st)
-        hi = np.broadcast_to(a.max(axis=0), st.shape).copy()
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            relu = np.maximum(a[None, :, :] - mid[:, None, :], 0.0)
-            comp = np.einsum("sn,snd->sd", 1.0 - mf, relu)
-            balance = st + k * mid - comp
-            high = balance > 0
-            hi = np.where(high, mid, hi)
-            lo = np.where(high, lo, mid)
-        t = 0.5 * (lo + hi)
-        relu = np.maximum(a[None, :, :] - t[:, None, :], 0.0)
-        comp_sq = np.einsum("sn,snd->sd", 1.0 - mf, relu**2)
-        grown = (a[None, :, :] + t[:, None, :]) ** 2
-        top_sq = np.einsum("sn,snd->sd", mf, grown)
-        vals = np.sqrt(top_sq + comp_sq)
-        vals = np.where(slack >= 0.0, norms[None, :], vals)
-        out[start:start + chunk] = vals.max(axis=0)
-    return out
+    a = -np.sort(-g_abs, axis=0)            # descending per draw
+    top, rest = a[:k], a[k:]
+    s = top.sum(axis=0)
+    t = ((np.cumsum(rest, axis=0) - s) / np.arange(k + 1, len(a) + 1)[:, None]).max(axis=0)
+    vals = np.sqrt(((top + t) ** 2).sum(axis=0) + (np.maximum(rest - t, 0.0) ** 2).sum(axis=0))
+    # t <= 0: g itself lies in the cone
+    return np.where(t > 0.0, vals, np.linalg.norm(g_abs, axis=0))
+
+
+# Penalty values per _feasible_in_cone call, which sets the draws per batch
+# of the generic search.  Wider batches spend more on fresh pages from the
+# allocator than they save in numpy's per-call overhead.
+_ELEMENT_BUDGET = 32768
 
 
 def _feasible_in_cone(u: Array, measure, k: int, scales: Array) -> Array:
@@ -126,16 +97,27 @@ def _feasible_in_cone(u: Array, measure, k: int, scales: Array) -> Array:
     return ((2.0 * top - tot) >= 0.0).any(axis=0)
 
 
-def _sup_generic(g: Array, measure, k: int, scales: Array, bisect_iters: int = 30,
-                 chunk: int = 512) -> Array:
+def _batches(total: int, size: int):
+    """(start, stop) of consecutive batches of ``size`` >= 2 columns.  A
+    trailing lone column joins the batch before it, since numpy sums one
+    column pairwise (n >= 8) but wider batches row by row."""
+    bounds = list(range(0, total, size)) + [total]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds, bounds[1:])
+
+
+def _sup_generic(g: Array, measure, k: int, scales: Array, bisect_iters: int = 30) -> Array:
     """Lower bound on the per-draw sup over the failure section of a general
     penalty: start from each support-restricted direction (always inside the
     cone) and line-search toward g along the sphere, keeping feasibility."""
     n, total_draws = g.shape
-    masks = _support_masks(n, k)
+    _check_support_budget(n, k)
+    masks = np.array([[i in T for i in range(n)] for T in itertools.combinations(range(n), k)])
     out = np.full(total_draws, -np.inf)
-    for start in range(0, total_draws, chunk):
-        gc = g[:, start:start + chunk]
+    size = max(2, _ELEMENT_BUDGET // (len(scales) * n))
+    for start, stop in _batches(total_draws, size):
+        gc = g[:, start:stop]
         gn = np.linalg.norm(gc, axis=0)
         ghat = gc / gn
         best = np.full(gc.shape[1], -np.inf)
@@ -164,7 +146,7 @@ def _sup_generic(g: Array, measure, k: int, scales: Array, bisect_iters: int = 3
             u /= np.linalg.norm(u, axis=0)
             vals = (gc * u).sum(axis=0)
             best = np.maximum(best, vals)
-        out[start:start + chunk] = best
+        out[start:stop] = best
     return out
 
 

@@ -129,6 +129,18 @@ class TestExitCodes:
                      "--d-grid", "nan"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_mc_all_trials_failed(self, monkeypatch, capsys):
+        from nsp_lab import experiments
+
+        def fails(*args):
+            raise ValueError("scan failed")
+
+        monkeypatch.setattr(experiments, "_validated_scan", fails)
+        assert main(["mc", "--n", "4", "--m", "2", "--k", "1", "--trials", "3"]) == 1
+        out = capsys.readouterr()
+        assert "all 3 trials failed" in out.err
+        assert out.out == ""
+
     def test_non_finite_matrix_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "A.csv"
         path.write_text("# 2 3\n1,0,inf\n0,1,1\n")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,19 @@ class TestMonteCarlo:
         else:
             with pytest.raises(error, match="scan failed"):
                 mc_probability(cfg)
+
+    def test_all_trials_failed(self, monkeypatch):
+        def fails(*args):
+            raise ValueError("scan failed")
+
+        monkeypatch.setattr(experiments, "_validated_scan", fails)
+        cfg = ExperimentConfig(n=5, m=3, k=1, trials=3, d_grid=(1e-3, 1e-2), seed=2)
+        summary = mc_probability(cfg)
+        assert (summary.trials, summary.failures) == (0, 3)
+        for ci in (summary.erc, *summary.rrc.values()):
+            assert (ci.successes, ci.trials, ci.low, ci.high) == (0, 0, 0.0, 1.0)
+            assert math.isnan(ci.p_hat)
+        assert list(summary.rrc) == [1e-3, 1e-2]
 
     def test_exp_measure_matches_closed_form_stream(self):
         # same sample stream, exact agreement outside the boundary band

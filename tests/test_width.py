@@ -1,10 +1,13 @@
+import itertools
 import math
 from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
 
-from nsp_lab.measures import CostFunction, builtin_measure
+from nsp_lab import width
+from nsp_lab.measures import CostFunction, builtin_measure, parse_measure
+from nsp_lab.nsp import _topk_total
 from nsp_lab.width import (
     chi_mean,
     delta_margin,
@@ -90,6 +93,117 @@ class TestWidthMc:
         for d in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError):
                 width_extended(l1_cost(4), 1, d, draws=10)
+
+
+def bisect_sup_l1(g_abs, k):
+    """The all-supports search that the closed form replaced: per support T
+    of size k, the norm of the cone projection of |g|, its multiplier found
+    by 60 bisection steps on the mass balance.  Returns the support masks
+    and the (supports, draws) values."""
+    n = g_abs.shape[0]
+    masks = np.zeros((math.comb(n, k), n), dtype=bool)
+    for i, T in enumerate(itertools.combinations(range(n), k)):
+        masks[i, list(T)] = True
+    mf = masks.astype(float)
+    a = g_abs
+    st = mf @ a
+    slack = 2.0 * st - a.sum(axis=0)
+    lo = np.zeros_like(st)
+    hi = np.broadcast_to(a.max(axis=0), st.shape).copy()
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        relu = np.maximum(a[None, :, :] - mid[:, None, :], 0.0)
+        high = st + k * mid - np.einsum("sn,snd->sd", 1.0 - mf, relu) > 0
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+    t = 0.5 * (lo + hi)
+    relu = np.maximum(a[None, :, :] - t[:, None, :], 0.0)
+    comp_sq = np.einsum("sn,snd->sd", 1.0 - mf, relu**2)
+    top_sq = np.einsum("sn,snd->sd", mf, (a[None, :, :] + t[:, None, :]) ** 2)
+    vals = np.where(slack >= 0.0, np.linalg.norm(a, axis=0), np.sqrt(top_sq + comp_sq))
+    return masks, vals
+
+
+def draws_with_ties(rng, n, draws):
+    """Gaussian draws, a third rounded to one decimal (ties), some entries
+    exactly zero, one column of equal magnitudes and one zero column."""
+    g = rng.standard_normal((n, draws))
+    g[:, : draws // 3] = np.round(g[:, : draws // 3], 1)
+    g[rng.random((n, draws)) < 0.1] = 0.0
+    g[:, -2] = rng.choice([-1.0, 1.0], n)
+    g[:, -1] = 0.0
+    return g
+
+
+class TestSupL1ClosedForm:
+    def test_matches_all_supports_bisection(self):
+        rng = np.random.default_rng(11)
+        for n in range(2, 11):
+            for k in range(1, n):
+                g_abs = np.abs(draws_with_ties(rng, n, 60 if n < 9 else 24))
+                _, vals = bisect_sup_l1(g_abs, k)
+                oracle = vals.max(axis=0)
+                exact = width._sup_l1(g_abs, k)
+                assert (np.abs(exact - oracle) <= 1e-15 * oracle).all(), (n, k)
+
+    def test_top_k_support_attains_the_maximum(self):
+        # rearrangement: the maximum over supports sits at the top-k of |g|
+        rng = np.random.default_rng(12)
+        for n, k in ((4, 1), (5, 2), (7, 3), (8, 2)):
+            g_abs = np.abs(draws_with_ties(rng, n, 80))
+            masks, vals = bisect_sup_l1(g_abs, k)
+            top = np.zeros_like(g_abs, dtype=bool)
+            np.put_along_axis(top, np.argsort(-g_abs, axis=0, kind="stable")[:k], True, axis=0)
+            at_top = np.array([vals[np.flatnonzero((masks == top[:, j]).all(axis=1))[0], j]
+                               for j in range(g_abs.shape[1])])
+            best = vals.max(axis=0)
+            assert (np.abs(at_top - best) <= 1e-15 * best).all(), (n, k)
+
+    def test_past_the_enumeration_cap(self):
+        # C(40, 10) supports exceed the cap, which only the generic search counts
+        est = width_mc(l1_cost(40), k=10, draws=200, seed=0)
+        assert est.inner_search == "support_projection"
+        assert not est.is_lower_bound
+        assert est.mean <= rv_bound(40, 10)
+        with pytest.raises(ValueError, match="enumeration cap"):
+            width_mc(CostFunction(builtin_measure("lp", p=0.5), 40), k=10, draws=10)
+
+
+class TestGenericBatching:
+    @pytest.mark.parametrize("measure", ["exp_ce1", "lp(p=0.5)", "mcp_zap(alpha=2)", "scad"])
+    def test_batch_size_does_not_change_the_estimate(self, monkeypatch, measure):
+        # budget 1 gives the smallest batches, two draws each with the odd
+        # draw count leaving a lone trailing column to merge
+        for n, k in ((6, 1), (8, 2)):
+            cost = CostFunction(parse_measure(measure), n)
+            results = []
+            for budget in (1, 10**9):
+                monkeypatch.setattr(width, "_ELEMENT_BUDGET", budget)
+                results.append([width_mc(cost, k, draws=25, seed=n),
+                                width_extended(cost, k, 0.1, draws=25, seed=n)])
+            (small, small_ext), (large, large_ext) = results
+            assert (small.mean, small.std_error) == (large.mean, large.std_error)
+            assert (small_ext.mean, small_ext.std_error) == (large_ext.mean, large_ext.std_error)
+
+    def test_batches_leave_no_lone_column(self):
+        # numpy sums a lone column pairwise, so one would change its last bits
+        for total in range(1, 40):
+            for size in (2, 3, 5, 64):
+                spans = list(width._batches(total, size))
+                assert [a for a, _ in spans[1:]] == [b for _, b in spans[:-1]]
+                assert spans[0][0] == 0 and spans[-1][1] == total
+                assert all(b - a >= min(2, total) for a, b in spans)
+
+    def test_top1_is_the_partition_top(self):
+        rng = np.random.default_rng(13)
+        for axis, shape in ((0, (7, 5)), (1, (3, 6, 9))):
+            fv = np.round(rng.random(shape), 1)   # ties
+            n = fv.shape[axis]
+            top = (slice(None),) * axis + (slice(n - 1, None),)
+            partition = np.partition(fv, n - 1, axis=axis)[top].sum(axis=axis)
+            got, tot = _topk_total(fv, 1, axis=axis)
+            assert np.array_equal(got, partition)
+            assert np.array_equal(tot, fv.sum(axis=axis))
 
 
 class TestWidthExtended:
