@@ -239,7 +239,7 @@ def _cmd_recover(args) -> int:
         result = solve_noiseless(problem, method=method, seed=args.seed)
     else:
         result = solve_noisy(problem, method=method, seed=args.seed)
-    _emit([{
+    row = {
         "config": _args_hash(args, ("command", "matrix", "y", "measure", "eps", "k", "method", "seed")),
         "x_hat": result.x_hat,
         "cost_value": result.cost_value,
@@ -248,7 +248,10 @@ def _cmd_recover(args) -> int:
         "iterations": result.iterations,
         "optimal_guaranteed": result.optimal_guaranteed,
         "note": result.note,
-    }], args.format or "json", args.out)
+    }
+    if result.kkt_residual is not None:
+        row["kkt_residual"] = result.kkt_residual
+    _emit([row], args.format or "json", args.out)
     return 0
 
 

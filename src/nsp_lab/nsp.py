@@ -59,6 +59,7 @@ REFINE_PEAKS = 5          # distinct landscape peaks refined per scan
 REFINE_ITERS = 36         # golden-section iterations per refinement
 PROBE_CANDIDATES = 10     # (z, t) candidates attacked by the probe
 ATTACK_STEPS = 60         # ascent steps per perturbation attack
+BOUNDARY_CANDIDATES = 25  # log-grid witness coordinates per axis of the region map
 
 
 def _check_support_budget(n: int, k: int) -> None:
@@ -749,7 +750,6 @@ def region_boundary_map(
     measure: SparsenessMeasure,
     grid: tuple[int, int] = (200, 200),
     domain: tuple[float, float] = (2.0, 2.0),
-    candidate_points: int = 25,
 ) -> RegionMap:
     """Classify an (a, b) grid by searching witnesses (x, y) on a log grid.
 
@@ -770,7 +770,7 @@ def region_boundary_map(
     a_col = a_vals[:, None]
     b_row = b_vals[None, :]
 
-    xs = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, candidate_points)])
+    xs = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, BOUNDARY_CANDIDATES)])
     region = np.zeros((rows, cols), dtype=bool)
     used = 0
     for x in xs:

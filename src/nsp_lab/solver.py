@@ -3,9 +3,11 @@
 The solvers corroborate the null-space certificates; they never replace
 them.  Ground truth for exact recovery is always the certificate, because
 the noiseless minimization is non-convex for most penalties and descent can
-stall in local minima; every result therefore records that global
-optimality is not guaranteed.  ``enumerate`` is the exception within its
-scope: it is exact among feasible candidates of sparsity at most k.
+stall in local minima; such results record that global optimality is not
+guaranteed.  ``enumerate`` is exact among feasible candidates of sparsity
+at most k.  The noisy problem under an l1 cost is convex: ``solve_noisy``
+finds its minimizer by the LASSO homotopy and certifies it with the KKT
+residual.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ class SolveResult:
     iterations: int
     optimal_guaranteed: bool = False
     note: str = ""
+    kkt_residual: float | None = None   # homotopy only; see _kkt_residual
 
 
 def _grad_cost(cost: CostFunction, x: Array) -> Array:
@@ -206,7 +209,7 @@ def solve_noiseless(
 
 
 # ---------------------------------------------------------------------------
-# Noisy solver: projected multistart descent
+# Noisy solver: the exact l1 path, else projected multistart descent
 # ---------------------------------------------------------------------------
 
 _EPS = float(np.finfo(float).eps)
@@ -291,33 +294,118 @@ def _project_columns(a: MeasurementMatrix, x_cols: Array, y: Array, radius: floa
     return out
 
 
-def solve_noisy(
-    problem: RecoveryProblem,
-    method: str = "descent",
-    seed: int = 0,
-    starts: int = 24,
-    iters: int = 250,
-    extra_starts: list | None = None,
-) -> SolveResult:
-    """Minimize the cost over the residual ball ||Ax - y|| <= eps(1 - 1e-9).
+class _PathBreakdown(Exception):
+    """The homotopy cannot finish this instance; the descent takes over."""
 
-    The strict inequality of the problem statement is realized by the
-    shrunk closed ball, which projection methods require.  The returned
-    point is checked against epsilon with the solver slack
-    ``TOL.feasibility * (1 + ||y||)`` for the rounding of ||Ax - y||, and a
-    ValueError is raised if it lies outside.  Multistart projected
-    subgradient descent; starts include the min-norm solution, zero,
-    random null-space offsets, sparse least-squares candidates and any
-    caller-provided starts.
+
+# safeguard only: random paths at n <= 8 took at most 9 kinks, but the worst
+# case grows exponentially with n (Mairal & Yu, ICML 2012)
+_KINKS_PER_COLUMN = 8
+
+
+def _lasso_path(a: MeasurementMatrix, y: Array, radius: float):
+    """Exact minimizer of ||x||_1 subject to ||Ax - y|| <= radius.
+
+    Returns (x, lam, kinks): x also minimizes 1/2 ||Ax - y||^2 + lam ||x||_1,
+    and kinks counts the path's kinks down to lam; x = 0 with lam = inf when
+    ||y|| <= radius.  Follows the piecewise-linear LASSO path x(lam) down
+    from lam = ||A^T y||_inf (Osborne, Presnell & Turlach, 2000; Efron et
+    al., 2004).  On an active set S with signs s, x_S(lam) = u - lam w with
+    u = G^-1 A_S^T y, w = G^-1 s, G = A_S^T A_S.  An inactive index joins
+    when its correlation with the residual reaches lam; an active one
+    leaves when its coefficient reaches zero.  The residual e + lam f is
+    affine in lam on each segment, so it crosses the radius at the root of
+    a quadratic.  The path is scale-equivariant and runs on y / ||y||.
+    Raises _PathBreakdown at the kink cap, on a singular G (ties), or when
+    the radius lies below the rounding of the residual.
     """
-    if problem.epsilon <= 0:
-        raise ValueError("noisy solver requires epsilon > 0")
-    if method != "descent":
-        raise ValueError(f"unknown method {method!r}")
+    ent = a.entries
+    n = ent.shape[1]
+    ynorm = float(np.linalg.norm(y))
+    if ynorm <= radius:
+        return np.zeros(n), math.inf, 0
+    y = y / ynorm
+    r2 = (radius / ynorm) ** 2
+    corr = ent.T @ y
+    j = int(np.argmax(np.abs(corr)))
+    lam = float(abs(corr[j]))
+    active, signs = [j], [float(np.sign(corr[j]))]
+    left, left_sign = -1, 0.0  # an index that has just left cannot rejoin with its sign
+    for kinks in range(1, _KINKS_PER_COLUMN * n + 1):
+        sub = ent[:, active]
+        us, sv, vt = np.linalg.svd(sub, full_matrices=False)
+        # numpy's matrix_rank tolerance
+        if len(sv) < len(active) or sv[-1] <= sv[0] * max(sub.shape) * _EPS:
+            raise _PathBreakdown(f"singular active Gram matrix on {len(active)} columns")
+        s = np.array(signs)
+        p = us.T @ y
+        q = (vt @ s) / sv
+        u = vt.T @ (p / sv)
+        w = vt.T @ (q / sv)
+        e = y - us @ p
+        f = us @ q
+        ce, cf = ent.T @ e, ent.T @ f        # correlations ce + lam cf
+        # the step gamma = lam - lam' to the next join or leave
+        gamma = np.full(n, math.inf)
+        free = np.ones(n, dtype=bool)
+        free[active] = False
+        c_now = ce + lam * cf
+        for sigma in (1.0, -1.0):
+            rate = 1.0 - sigma * cf
+            ok = free & (rate > 0.0)
+            if sigma == left_sign:   # it may still reach the other sign
+                ok[left] = False
+            gamma[ok] = np.minimum(gamma[ok], np.maximum(lam - sigma * c_now[ok], 0.0) / rate[ok])
+        shrink = s * w < 0.0                 # coefficients moving toward zero
+        leave = np.full(len(active), math.inf)
+        leave[shrink] = np.maximum(s * (u - lam * w), 0.0)[shrink] / -(s * w)[shrink]
+        joins = int(np.argmin(gamma))
+        leaves = int(np.argmin(leave))
+        lam_next = max(lam - min(gamma[joins], leave[leaves]), 0.0)
+        # ||e + lam f||^2 = r2 at its larger root (e is orthogonal to f)
+        ee, ef, ff = e @ e, e @ f, f @ f
+        if r2 > ee:
+            root = (r2 - ee) / (ef + math.sqrt(ef * ef + ff * (r2 - ee)))
+            if root >= lam_next:
+                lam = min(root, lam)
+                x = np.zeros(n)
+                x[active] = (u - lam * w) * ynorm
+                return x, lam * ynorm, kinks
+        if lam_next <= 0.0:
+            raise _PathBreakdown("the radius lies below the rounding of the residual")
+        if leave[leaves] < gamma[joins]:
+            left = active.pop(leaves)
+            left_sign = signs.pop(leaves)
+        else:
+            active.append(joins)
+            signs.append(float(np.sign(ce[joins] + lam_next * cf[joins])))
+            left, left_sign = -1, 0.0
+        lam = lam_next
+    raise _PathBreakdown(f"kink cap {_KINKS_PER_COLUMN * n} reached")
+
+
+def _kkt_residual(a: MeasurementMatrix, y: Array, x: Array, lam: float, radius: float) -> float:
+    """Worst violation of the optimality conditions of the homotopy's x.
+
+    With c = A^T (y - Ax): sign consistency |c_i - lam sign(x_i)| / lam on
+    the support, dual feasibility (|c_i| - lam)_+ / lam off it, and
+    | ||Ax - y|| - radius |.  Zero for x = 0 inside the ball (lam = inf).
+    """
+    if math.isinf(lam):
+        return 0.0
+    r = y - a.entries @ x
+    c = a.entries.T @ r
+    on = x != 0.0
+    sign = np.abs(c[on] - lam * np.sign(x[on])).max(initial=0.0) / lam
+    dual = np.maximum(np.abs(c[~on]) - lam, 0.0).max(initial=0.0) / lam
+    return float(max(sign, dual, abs(np.linalg.norm(r) - radius)))
+
+
+def _projected_descent(problem, radius, seed, starts, iters, extra_starts):
+    """Best point and cost of multistart projected subgradient descent."""
     a = problem.matrix
     y = problem.y
     cost = problem.cost
-    radius = problem.epsilon * (1.0 - TOL.strict_shrink)
     rng = as_rng(seed)
     n = a.shape[1]
 
@@ -361,15 +449,64 @@ def solve_noisy(
     polished[np.abs(polished) < 1e-10 * (1.0 + np.linalg.norm(polished))] = 0.0
     if np.linalg.norm(a.entries @ polished - y) <= radius and cost.value(polished) <= best_v:
         best_x, best_v = polished, cost.value(polished)
+    return best_x, best_v
 
-    residual = float(np.linalg.norm(a.entries @ best_x - y))
-    if not residual <= problem.epsilon + TOL.feasibility * (1.0 + np.linalg.norm(y)):
+
+def solve_noisy(
+    problem: RecoveryProblem,
+    method: str = "descent",
+    seed: int = 0,
+    starts: int = 24,
+    iters: int = 250,
+    extra_starts: list | None = None,
+) -> SolveResult:
+    """Minimize the cost over the residual ball ||Ax - y|| <= eps(1 - 1e-9).
+
+    The strict inequality of the problem statement is realized by the
+    shrunk closed ball, which projection methods require.  The returned
+    point is checked against epsilon with the solver slack
+    ``TOL.feasibility * (1 + ||y||)`` for the rounding of ||Ax - y||, and a
+    ValueError is raised if it lies outside.
+
+    A 1-homogeneous cost is F(1)|t| per coordinate, so it has the l1
+    minimizer: the LASSO homotopy finds it exactly (method ``homotopy``,
+    ``optimal_guaranteed``, ``iterations`` the kinks followed) and reports
+    its KKT residual; ``seed``, ``starts``, ``iters`` and ``extra_starts``
+    go unused.  Other costs, and an l1 path that hits its kink cap, a
+    singular active set or a radius below rounding (said in ``note``), run
+    multistart projected subgradient descent; starts include the min-norm
+    solution, zero, random null-space offsets, sparse least-squares
+    candidates and any caller-provided starts.
+    """
+    if problem.epsilon <= 0:
+        raise ValueError("noisy solver requires epsilon > 0")
+    if method != "descent":
+        raise ValueError(f"unknown method {method!r}")
+    a = problem.matrix
+    y = problem.y
+    cost = problem.cost
+    radius = problem.epsilon * (1.0 - TOL.strict_shrink)
+    result = None
+    fallback = ""
+    if cost.measure.homogeneity_degree == 1.0:
+        try:
+            x, lam, kinks = _lasso_path(a, y, radius)
+        except _PathBreakdown as exc:
+            fallback = f"homotopy fell back ({exc}); "
+        else:
+            result = SolveResult(x, cost.value(x), 0.0, "homotopy", kinks, True,
+                                 "exact l1 minimizer by the LASSO homotopy",
+                                 _kkt_residual(a, y, x, lam, radius))
+    if result is None:
+        x, v = _projected_descent(problem, radius, seed, starts, iters, extra_starts)
+        result = SolveResult(x, v, 0.0, method, iters, note=fallback
+                             + "projected multistart descent; global optimality not guaranteed")
+
+    result.residual = float(np.linalg.norm(a.entries @ result.x_hat - y))
+    if not result.residual <= problem.epsilon + TOL.feasibility * (1.0 + np.linalg.norm(y)):
         raise ValueError(f"no point found within epsilon={problem.epsilon:g} of y "
-                         f"(best residual {residual:g})")
-    return SolveResult(
-        best_x, best_v, residual, method, iters,
-        note="projected multistart descent; global optimality not guaranteed",
-    )
+                         f"(best residual {result.residual:g})")
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +631,10 @@ def empirical_robustness(
 
     Signals are k-sparse with standard normal entries on uniform supports;
     the noise is drawn just inside the tolerance (norm eps(1 - 1e-6)) so
-    the true signal itself is admissible under the strict constraint.  The
-    projection of the true signal is always among the solver starts, which
-    keeps the returned cost at or below the signal cost.  Non-converged
+    the true signal itself is admissible under the strict constraint, and
+    the returned cost is at or below the signal cost: an l1 cost is
+    minimized exactly, and the descent for other costs has the projection
+    of the true signal among its starts.  Non-converged
     trials (feasibility violations) are excluded and counted.
     """
     if trials < 1:

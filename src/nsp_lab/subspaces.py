@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -35,8 +34,6 @@ __all__ = [
     "as_rng",
     "write_matrix_csv",
     "read_matrix_csv",
-    "write_matrix_json",
-    "read_matrix_json",
 ]
 
 
@@ -307,21 +304,4 @@ def read_matrix_csv(path) -> Array:
     a = np.asarray(data, dtype=float)
     if a.shape != (rows, cols):
         raise ValueError(f"{path}: header says {(rows, cols)}, data is {a.shape}")
-    return a
-
-
-def write_matrix_json(path, arr) -> None:
-    a = np.atleast_2d(np.asarray(arr, dtype=float))
-    payload = {"shape": list(a.shape), "data": a.tolist()}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def read_matrix_json(path) -> Array:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    a = np.asarray(payload["data"], dtype=float)
-    if list(a.shape) != payload["shape"]:
-        raise ValueError(f"{path}: shape mismatch")
     return a

@@ -89,6 +89,12 @@ def _sup_l1(g_abs: Array, k: int) -> Array:
 # allocator than they save in numpy's per-call overhead.
 _ELEMENT_BUDGET = 32768
 
+# The generic search's own amplitude grid on [1e-6, 1e6], unrefined and
+# coarser than the certificates' (config.SCALE_GRID_POINTS, refined), and
+# its bisection steps toward g per support.
+_WIDTH_SCALE_POINTS = 33
+_BISECT_STEPS = 30
+
 
 def _feasible_in_cone(u: Array, measure, k: int, scales: Array) -> Array:
     """Columns of u whose top-k cost reaches half the total at some scale."""
@@ -107,7 +113,7 @@ def _batches(total: int, size: int):
     return zip(bounds, bounds[1:])
 
 
-def _sup_generic(g: Array, measure, k: int, scales: Array, bisect_iters: int = 30) -> Array:
+def _sup_generic(g: Array, measure, k: int, scales: Array) -> Array:
     """Lower bound on the per-draw sup over the failure section of a general
     penalty: start from each support-restricted direction (always inside the
     cone) and line-search toward g along the sphere, keeping feasibility."""
@@ -135,7 +141,7 @@ def _sup_generic(g: Array, measure, k: int, scales: Array, bisect_iters: int = 3
             u0 = u0 / u0n
             lo = np.zeros(gc.shape[1])       # feasible fraction toward ghat
             hi = np.ones(gc.shape[1])
-            for _ in range(bisect_iters):
+            for _ in range(_BISECT_STEPS):
                 mid = 0.5 * (lo + hi)
                 u = (1.0 - mid)[None, :] * u0 + mid[None, :] * ghat
                 u /= np.linalg.norm(u, axis=0)
@@ -150,7 +156,7 @@ def _sup_generic(g: Array, measure, k: int, scales: Array, bisect_iters: int = 3
     return out
 
 
-def _per_draw_sup(cost: CostFunction, k: int, g: Array, scale_points: int = 33):
+def _per_draw_sup(cost: CostFunction, k: int, g: Array):
     """(sup values, inner search label, is_lower_bound) for one batch."""
     n = cost.dimension
     measure = cost.measure
@@ -163,7 +169,7 @@ def _per_draw_sup(cost: CostFunction, k: int, g: Array, scale_points: int = 33):
     if measure.is_homogeneous:
         scales = np.array([1.0])
     else:
-        scales = np.geomspace(1e-6, 1e6, scale_points)
+        scales = np.geomspace(1e-6, 1e6, _WIDTH_SCALE_POINTS)
     return _sup_generic(g, measure, k, scales), "multistart", True
 
 

@@ -50,6 +50,19 @@ class TestCommands:
         payload = json.loads(out.read_text())
         assert np.allclose(payload["x_hat"], x_bar, atol=1e-8)
 
+    def test_recover_noisy_l1(self, null_111_matrix, tmp_path):
+        a = np.loadtxt(null_111_matrix, delimiter=",", skiprows=1)
+        y_path = tmp_path / "y.csv"
+        write_matrix_csv(y_path, (a @ np.array([5.0, 0.0, 0.0]) + [0.01, 0.0]).reshape(1, -1))
+        out = tmp_path / "recover.json"
+        code = main(["recover", "--matrix", str(null_111_matrix), "--y", str(y_path),
+                     "--measure", "l1", "--k", "1", "--eps", "0.1", "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["method"] == "homotopy" and payload["optimal_guaranteed"]
+        assert float(payload["kkt_residual"]) <= 1e-9
+        assert float(payload["residual"]) <= 0.1
+
     def test_width(self, tmp_path):
         out = tmp_path / "width.json"
         code = main(["width", "--measure", "lp(p=1)", "--n", "4", "--k", "4",
@@ -160,6 +173,15 @@ class TestExitCodes:
         y_path = tmp_path / "y.csv"
         write_matrix_csv(y_path, np.array([[1.0, 2.0]]))
         monkeypatch.setattr(solver, "_project_columns", lambda a, x, y, radius: x)
+        assert main(["recover", "--matrix", str(null_111_matrix), "--y", str(y_path),
+                     "--measure", "lp(p=0.5)", "--k", "1", "--eps", "0.1"]) == 2
+        assert "within epsilon" in capsys.readouterr().err
+
+    def test_infeasible_homotopy_solve_is_usage_error(self, null_111_matrix, tmp_path, capsys,
+                                                      monkeypatch):
+        y_path = tmp_path / "y.csv"
+        write_matrix_csv(y_path, np.array([[1.0, 2.0]]))
+        monkeypatch.setattr(solver, "_lasso_path", lambda a, y, radius: (np.zeros(3), 1.0, 1))
         assert main(["recover", "--matrix", str(null_111_matrix), "--y", str(y_path),
                      "--measure", "l1", "--k", "1", "--eps", "0.1"]) == 2
         assert "within epsilon" in capsys.readouterr().err

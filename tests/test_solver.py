@@ -207,11 +207,19 @@ class TestNoisy:
 
     def test_infeasible_output_rejected(self, monkeypatch):
         # a projection that leaves its input alone: zero, of least cost,
-        # stays ||y|| away from y
+        # stays ||y|| away from y (lp: the descent path)
         monkeypatch.setattr(solver, "_project_columns", lambda a, x, y, radius: x)
-        problem = RecoveryProblem(self.a, self.a.entries @ self.x_bar, 0.1, self.cost, 1)
+        cost = CostFunction(builtin_measure("lp", p=0.5), 3)
+        problem = RecoveryProblem(self.a, self.a.entries @ self.x_bar, 0.1, cost, 1)
         with pytest.raises(ValueError, match="within epsilon"):
             solve_noisy(problem, iters=5)
+
+    def test_infeasible_homotopy_output_rejected(self, monkeypatch):
+        # a path that returns zero, ||y|| away from y (l1: the homotopy)
+        monkeypatch.setattr(solver, "_lasso_path", lambda a, y, radius: (np.zeros(3), 1.0, 1))
+        problem = RecoveryProblem(self.a, self.a.entries @ self.x_bar, 0.1, self.cost, 1)
+        with pytest.raises(ValueError, match="within epsilon"):
+            solve_noisy(problem)
 
     def test_small_epsilon_accepted(self):
         # ||Ax - y|| is evaluated to within a few ulps of ||y||, far above eps

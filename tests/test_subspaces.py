@@ -13,11 +13,9 @@ from nsp_lab.subspaces import (
     perturb_subspace,
     principal_angles,
     read_matrix_csv,
-    read_matrix_json,
     sample_haar,
     singular_extremes,
     write_matrix_csv,
-    write_matrix_json,
 )
 
 
@@ -260,9 +258,3 @@ class TestSerialization:
         path.write_text("1,2\n3,4\n")
         with pytest.raises(ValueError):
             read_matrix_csv(path)
-
-    def test_json_round_trip(self, tmp_path):
-        a = np.random.default_rng(4).standard_normal((2, 4))
-        path = tmp_path / "mat.json"
-        write_matrix_json(path, a)
-        assert np.array_equal(read_matrix_json(path), a)
