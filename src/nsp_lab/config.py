@@ -32,7 +32,10 @@ SCALE_GRID_POINTS = 61
 
 # The one cap on explicit support enumeration; larger instances must supply
 # their own support sampler rather than silently degrade.  Certificates and
-# the generic (non-l1) widths count the C(n, k) supports of size k; the
-# ``enumerate`` solver counts every support of size at most k,
-# sum_{s <= k} C(n, s).  The l1 width enumerates no supports.
+# the generic (non-l1) widths count the C(n, k) supports of size k; the l1
+# certificates and the certified radius also count the C(n, l - 1) vertex
+# lines of an l-dimensional null space, and past the cap fall back to the
+# search (a lower bound, no certified radius); the ``enumerate`` solver
+# counts every support of size at most k, sum_{s <= k} C(n, s).  The l1
+# width enumerates no supports.
 SUPPORT_ENUMERATION_CAP = 100_000

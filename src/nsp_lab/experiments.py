@@ -124,12 +124,17 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 
 @dataclass
 class MonteCarloSummary:
+    """``rrc`` counts the trials the probe passed at each radius, an upper
+    estimate of P(RRC); ``rrc_sound`` counts those among them that passed
+    soundly (``passed_sound``), a lower estimate."""
+
     config: ExperimentConfig
     trials: int
     erc: WilsonInterval
     rrc: dict                  # d -> WilsonInterval
     boundary_fraction: float
     failures: int
+    rrc_sound: dict            # d -> WilsonInterval
 
     @property
     def p_erc(self) -> float:
@@ -158,13 +163,13 @@ def _run_trials(cfg: ExperimentConfig, indices) -> list:
             # drawn from the same candidates as the exact-recovery verdict
             scan = _validated_scan(sub, cost, cfg.k, int(rng.integers(2**32)))
             verdict = _erc_from_scan(sub, cost, cfg.k, scan)
-            passes = [not _rrc_from_scan(sub, cost, cfg.k, d, cfg.probe_budget, scan).violated
-                      for d in cfg.d_grid]
-            out.append((True, verdict.member, verdict.margin, passes))
+            outcomes = [_rrc_from_scan(sub, cost, cfg.k, d, cfg.probe_budget, scan).outcome
+                        for d in cfg.d_grid]
+            out.append((True, verdict.member, verdict.margin, outcomes))
         except (TypeError, AttributeError, AssertionError):
             raise           # programming errors, not certificate failures
         except Exception:   # certificate failures are counted, never silent
-            out.append((False, False, math.nan, [False] * len(cfg.d_grid)))
+            out.append((False, False, math.nan, ["violated"] * len(cfg.d_grid)))
     return out
 
 
@@ -173,8 +178,9 @@ def mc_probability(cfg: ExperimentConfig, threads: int = 1) -> MonteCarloSummary
 
     Per trial the null space is drawn (Gaussian matrix or Haar) and scanned
     once; membership of the exact-recovery set is decided from that scan,
-    and the perturbation probe attacks its candidates at every radius in the
-    grid.  The containment of the robust set in the
+    and the perturbation probe answers at every radius in the grid, soundly
+    within the scan's certified radius and by an attack beyond it.  The
+    containment of the robust set in the
     exact set is asserted trial by trial, not just in expectation.
     """
     indices = list(range(cfg.trials))
@@ -195,10 +201,12 @@ def mc_probability(cfg: ExperimentConfig, threads: int = 1) -> MonteCarloSummary
     erc_count = sum(1 for _, member, _, _ in valid if member)
     boundary = sum(1 for _, _, margin, _ in valid if abs(margin) < TOL.mc_boundary_band)
     rrc_counts = [0] * len(cfg.d_grid)
-    for _, member, _, passes in valid:
-        for j, ok in enumerate(passes):
-            if ok:
+    sound_counts = [0] * len(cfg.d_grid)
+    for _, member, _, outcomes in valid:
+        for j, outcome in enumerate(outcomes):
+            if outcome != "violated":
                 rrc_counts[j] += 1
+                sound_counts[j] += outcome == "passed_sound"
                 if not member:
                     raise AssertionError(
                         "robust pass on a trial outside the exact-recovery set"
@@ -206,8 +214,8 @@ def mc_probability(cfg: ExperimentConfig, threads: int = 1) -> MonteCarloSummary
     n_valid = len(valid)
     if not n_valid:  # no point estimate, vacuous intervals
         vacuous = WilsonInterval(0, 0, math.nan, 0.0, 1.0)
-        return MonteCarloSummary(cfg, 0, vacuous, {d: vacuous for d in cfg.d_grid},
-                                 math.nan, failures)
+        per_d = {d: vacuous for d in cfg.d_grid}
+        return MonteCarloSummary(cfg, 0, vacuous, per_d, math.nan, failures, per_d)
     return MonteCarloSummary(
         config=cfg,
         trials=n_valid,
@@ -215,6 +223,8 @@ def mc_probability(cfg: ExperimentConfig, threads: int = 1) -> MonteCarloSummary
         rrc={d: wilson_interval(rrc_counts[j], n_valid) for j, d in enumerate(cfg.d_grid)},
         boundary_fraction=boundary / n_valid,
         failures=failures,
+        rrc_sound={d: wilson_interval(sound_counts[j], n_valid)
+                   for j, d in enumerate(cfg.d_grid)},
     )
 
 

@@ -43,13 +43,16 @@ class SparsenessMeasure:
     satisfy fn(0) = 0 exactly.  The tri-state flags record what is *claimed*
     about the measure (True / False / None for unknown); nothing in the
     constructor verifies them.  ``homogeneity_degree`` p, when set, declares
-    F(t*x) = t**p * F(x) for t > 0.
+    F(t*x) = t**p * F(x) for t > 0.  ``ratio_nonincreasing`` declares F(t)/t
+    non-increasing on t > 0; with ``non_decreasing`` it puts F under the
+    dominance rule, so every radius certified robust for l1 is robust for F.
     """
 
     name: str
     fn: Callable[[Array], Array] = field(repr=False)
     params: dict = field(default_factory=dict)
     non_decreasing: bool | None = None
+    ratio_nonincreasing: bool | None = None
     subadditive: bool | None = None
     homogeneity_degree: float | None = None
     continuous: bool = True
@@ -142,6 +145,7 @@ def _make_lp(p: float) -> SparsenessMeasure:
         fn=lambda t: np.power(t, p),
         params={} if p == 1.0 else {"p": p},
         non_decreasing=True,
+        ratio_nonincreasing=True,
         subadditive=True,
         homogeneity_degree=p,
     )
@@ -154,6 +158,7 @@ def _make_exp_ce1() -> SparsenessMeasure:
         name="exp_ce1",
         fn=lambda t: t - np.expm1(-t),
         non_decreasing=True,
+        ratio_nonincreasing=True,
         subadditive=True,
     )
 
@@ -171,6 +176,7 @@ def _make_mcp_zap(alpha: float) -> SparsenessMeasure:
         fn=fn,
         params={"alpha": alpha},
         non_decreasing=True,
+        ratio_nonincreasing=True,
         subadditive=True,
     )
 
@@ -188,6 +194,7 @@ def _make_scad(lam: float, a: float) -> SparsenessMeasure:
         fn=fn,
         params={"lam": lam, "a": a},
         non_decreasing=True,
+        ratio_nonincreasing=True,
         subadditive=True,
     )
 

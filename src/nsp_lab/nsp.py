@@ -12,13 +12,24 @@ For homogeneous penalties the supremum over z reduces to the unit sphere of
 the subspace.  For general penalties the value is scale dependent (which is
 precisely what makes robustness fail on the boundary), so the search runs
 over a logarithmic amplitude grid with local refinement.
+
+For l1 no search is needed: gamma = max ||z_T||_1 / ||z||_1 and
+kappa = max ||z||_2 / ||z||_1 over the null space are maxima of convex
+functions over the polytope N ∩ {||z||_1 <= 1}, so both are attained on its
+vertex lines, which are enumerated.  Every radius up to
+r(N) = (1 - 2 gamma) / (sqrt(n) kappa) is then violation-free, for l1 and,
+by the dominance rule, for every non-decreasing F with F(t)/t
+non-increasing.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from types import GeneratorType
+from typing import Callable
 
 import numpy as np
 
@@ -60,6 +71,10 @@ REFINE_ITERS = 36         # golden-section iterations per refinement
 PROBE_CANDIDATES = 10     # (z, t) candidates attacked by the probe
 ATTACK_STEPS = 60         # ascent steps per perturbation attack
 BOUNDARY_CANDIDATES = 25  # log-grid witness coordinates per axis of the region map
+
+
+_EPS = float(np.finfo(float).eps)
+_VERTEX_CHUNK = 4096      # (l-1)-subsets whose vertex lines are solved in one batch
 
 
 def _check_support_budget(n: int, k: int) -> None:
@@ -183,11 +198,19 @@ def _refine_scale(z_rows: Array, measure, k) -> list:
         lo = [max(math.log10(SCALE_GRID_LO), math.log10(t) - step) for t in ts]
         hi = [min(math.log10(SCALE_GRID_HI), math.log10(t) + step) for t in ts]
         abs_rows = np.abs(z_rows)
+        if len(abs_rows) == 1:
+            # a lone row (every line scan) skips the batch's array and list
+            # building; a vector sums as a row does, so the values are equal
+            row = abs_rows[0]
 
-        def fun(lts):
-            amp = np.array([10.0**lt for lt in lts])
-            top, tot = _topk_total(measure.fn(amp[:, None] * abs_rows), k, axis=1)
-            return [p / s if s > 0 else 0.0 for p, s in zip(top.tolist(), tot.tolist())]
+            def fun(lts):
+                top, tot = _topk_total(measure.fn(10.0**lts[0] * row), k, axis=0)
+                return [float(top / tot) if tot > 0 else 0.0]
+        else:
+            def fun(lts):
+                amp = np.array([10.0**lt for lt in lts])
+                top, tot = _topk_total(measure.fn(amp[:, None] * abs_rows), k, axis=1)
+                return [p / s if s > 0 else 0.0 for p, s in zip(top.tolist(), tot.tolist())]
 
         for i, (lt, qb) in enumerate(zip(*_golden_max(fun, lo, hi, REFINE_ITERS))):
             if qb >= qs[i]:
@@ -197,13 +220,113 @@ def _refine_scale(z_rows: Array, measure, k) -> list:
     return cands
 
 
-def _scan_subspace(sub, measure, k, rng) -> tuple[list, int]:
+@dataclass
+class _Scan:
+    """One scan of a subspace: all that the ``_*_from_scan`` deciders read.
+
+    ``exact`` says the best candidate attains the supremum of q.
+    ``sound_radius`` is the certified radius, 0.0 when nothing is
+    certified; None until the first probe needs it (:func:`_sound_radius`).
+    ``search``, set beside the exact l1 enumeration, runs the search once
+    for the probe's attack beyond the certified radius.
+    """
+
+    cands: list            # ranked _Candidate, best first
+    evaluations: int
+    exact: bool
+    sound_radius: float | None
+    search: Callable[[], tuple[list, int]] | None = None
+
+
+def _dominated(measure: SparsenessMeasure) -> bool:
+    """F non-decreasing with F(t)/t non-increasing: every F-violation at a
+    point u is an l1 violation there.  With T the top-k support of u and
+    a = min_T |u_i|, sum_T F <= (F(a)/a) ||u_T||_1 and
+    sum_{T^c} F >= (F(a)/a) ||u_{T^c}||_1."""
+    return measure.non_decreasing is True and measure.ratio_nonincreasing is True
+
+
+def _vertex_lines(basis: Array):
+    """Unit vectors on the vertex lines of N ∩ {||z||_1 <= 1}, in batches.
+
+    A vertex has zero coordinates Z with rank B[Z] = l - 1, so it spans
+    {z in N : z_S = 0} for some (l-1)-subset S of Z with rank B[S] = l - 1.
+    Every (l-1)-subset is solved with one batched SVD; those rank-deficient
+    by numpy's ``matrix_rank`` tolerance are skipped, which loses no vertex.
+    """
+    n, l = basis.shape
+    if l == 1:
+        yield basis.T
+        return
+    subsets = itertools.combinations(range(n), l - 1)
+    while chunk := list(itertools.islice(subsets, _VERTEX_CHUNK)):
+        _, sv, vt = np.linalg.svd(basis[np.array(chunk)])
+        full = sv[:, -1] > sv[:, 0] * l * _EPS
+        yield vt[full, -1, :] @ basis.T
+
+
+def _l1_vertex_scan(basis: Array, k: int) -> _Scan:
+    """Exact l1 scan: the vertex lines with the highest
+    q = ||z_T||_1 / ||z||_1 (T the top-k support), best first, and r(N).
+
+    gamma is the best q and kappa the largest ||z||_2 / ||z||_1 over the
+    lines.  With u = z + e, ||e|| < d ||z||, the deficit
+    ||u_T||_1 - ||u_{T^c}||_1 <= (2 gamma - 1) ||z||_1 + sqrt(n) ||e||_2
+    is negative for every d <= r(N) = (1 - 2 gamma) / (sqrt(n) kappa).
+    """
+    n = basis.shape[0]
+    qs, lines = np.zeros(0), np.zeros((0, n))
+    kappa, scored = 0.0, 0
+    for z in _vertex_lines(basis):
+        if not len(z):
+            continue
+        top, tot = _topk_total(np.abs(z), k, axis=1)
+        kappa = max(kappa, float((np.linalg.norm(z, axis=1) / tot).max()))
+        scored += len(z)
+        qs = np.concatenate([qs, top / tot])
+        lines = np.concatenate([lines, z])
+        keep = np.argsort(-qs, kind="stable")[:REFINE_PEAKS]
+        qs, lines = qs[keep], lines[keep]
+    gamma = float(qs[0])
+    radius = max(1.0 - 2.0 * gamma, 0.0) / (math.sqrt(n) * kappa)
+    cands = [_Candidate(float(q), z, 1.0) for q, z in zip(qs, lines)]
+    return _Scan(cands, scored * n, True, radius)
+
+
+def _scan_subspace(sub, measure, k, rng) -> _Scan:
     """Ranked (q, direction, scale) candidates over the subspace.
 
-    dim 1: the generator itself.  dim 2: a half-circle angle grid with
-    golden-section refinement of the best distinct peaks.  dim >= 3: random
-    unit directions with hill climbing from the best starts.
+    A 1-homogeneous penalty (F(1)|t|) takes the exact l1 vertex enumeration
+    while C(n, l-1) is within the enumeration cap.  Otherwise the search is,
+    in dim 1, the generator itself; in dim 2, a half-circle angle grid with
+    golden-section refinement of the best distinct peaks; in dim >= 3,
+    random unit directions with hill climbing from the best starts.
     """
+    l = sub.dim
+    if measure.homogeneity_degree == 1.0 and l > 1 and _enumerable(sub):
+        scan = _l1_vertex_scan(sub.basis, k)
+        scan.search = functools.cache(lambda: _search_subspace(sub, measure, k, rng))
+        return scan
+    cands, evals = _search_subspace(sub, measure, k, rng)
+    return _Scan(cands, evals, l == 1 and measure.is_homogeneous, None)
+
+
+def _enumerable(sub) -> bool:
+    return math.comb(sub.ambient_dim, sub.dim - 1) <= SUPPORT_ENUMERATION_CAP
+
+
+def _sound_radius(sub, measure, k, scan) -> float:
+    """The scan's certified radius, from the l1 vertex record of the
+    subspace when the measure is 1-homogeneous or dominated by l1, computed
+    once per scan."""
+    if scan.sound_radius is None:
+        certified = measure.homogeneity_degree == 1.0 or _dominated(measure)
+        scan.sound_radius = (_l1_vertex_scan(sub.basis, k).sound_radius
+                             if certified and _enumerable(sub) else 0.0)
+    return scan.sound_radius
+
+
+def _search_subspace(sub, measure, k, rng) -> tuple[list, int]:
     l = sub.dim
     scales = _scale_grid(measure)
     evals = 0
@@ -323,17 +446,17 @@ def nsp_check(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NspVe
     """Decide J(z_T) < J(z_{T^c}) for all nonzero z in the subspace, |T| <= k.
 
     Maximizes the normalized deficit over directions, amplitudes and
-    supports.  ``fails`` carries a direct witness; ``holds_strict`` is a
-    search result at the fixed search resolution; ``boundary`` flags an
-    extremal deficit inside the strictness band, where the float answer is
-    not decidable.
+    supports.  ``fails`` carries a direct witness; ``holds_strict`` is
+    exact for a 1-homogeneous cost within the vertex enumeration cap and
+    otherwise a search result at the fixed search resolution; ``boundary``
+    flags an extremal deficit inside the strictness band, where the float
+    answer is not decidable.
     """
     return _nsp_from_scan(cost, k, _validated_scan(sub, cost, k, seed))
 
 
 def _nsp_from_scan(cost, k, scan) -> NspVerdict:
-    cands, evals = scan
-    best = cands[0]
+    best = scan.cands[0]
     deficit_norm = 2.0 * best.q - 1.0
     witness = best.scale * best.direction
     support = _support_of(witness, cost.measure, k)
@@ -343,14 +466,14 @@ def _nsp_from_scan(cost, k, scan) -> NspVerdict:
         status = "holds_strict"
     else:
         status = "boundary"
-    return NspVerdict(status, -deficit_norm, witness, support, evals)
+    return NspVerdict(status, -deficit_norm, witness, support, scan.evaluations)
 
 
-def _validated_scan(sub, cost, k, seed) -> tuple[list, int]:
+def _validated_scan(sub, cost, k, seed) -> _Scan:
     """Check the problem, then scan the subspace once.
 
-    The (candidates, evaluations) pair is all the private ``_*_from_scan``
-    deciders read, so one scan can answer every question about a subspace.
+    The scan record is all the private ``_*_from_scan`` deciders read, so
+    one scan can answer every question about a subspace.
     """
     n = sub.ambient_dim
     if cost.dimension != n:
@@ -368,7 +491,7 @@ class NscReport:
     theta: float
     witness_z: Array
     witness_T: tuple
-    method: str                # "exact_1d" | "sphere_enum" | "multistart"
+    method: str                # "exact_1d" | "vertex_enum" | "sphere_enum" | "multistart"
     evaluations: int
     is_lower_bound: bool
 
@@ -382,23 +505,28 @@ def nsc(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NscReport:
 
     Exact for one-dimensional subspaces with a homogeneous penalty (a single
     direction; the maximizing support is the top-k of the coordinate
-    penalties).  Otherwise the reported value is the best found and is
-    flagged as a lower bound.  A ratio with vanishing denominator (z
-    supported inside T) is reported as +inf.
+    penalties), and for a 1-homogeneous penalty in any dimension while the
+    C(n, l-1) vertex lines are within the enumeration cap (``vertex_enum``).
+    Otherwise the reported value is the best found and is flagged as a
+    lower bound.  A ratio with vanishing denominator (z supported inside T)
+    is reported as +inf.
     """
     return _nsc_from_scan(sub, cost, k, _validated_scan(sub, cost, k, seed))
 
 
 def _nsc_from_scan(sub, cost, k, scan) -> NscReport:
-    cands, evals = scan
-    best = cands[0]
+    best = scan.cands[0]
     witness = best.scale * best.direction
     support = _support_of(witness, cost.measure, k)
     theta = best.q / (1.0 - best.q) if best.q < 1.0 else math.inf
     l = sub.dim
-    method = "exact_1d" if l == 1 else ("sphere_enum" if l == 2 else "multistart")
-    lower_bound = not (l == 1 and cost.measure.is_homogeneous)
-    return NscReport(theta, witness, support, method, evals, lower_bound)
+    if l == 1:
+        method = "exact_1d"
+    elif scan.exact:
+        method = "vertex_enum"
+    else:
+        method = "sphere_enum" if l == 2 else "multistart"
+    return NscReport(theta, witness, support, method, scan.evaluations, not scan.exact)
 
 
 @dataclass
@@ -414,9 +542,9 @@ def erc_member(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> ErcV
     """Membership of the exact-recovery set, with a margin.
 
     For homogeneous penalties the test is theta < 1 with margin 1 - theta
-    (exact in dimension one).  For general penalties it is the strict
-    inequality search of :func:`nsp_check`, whose normalized margin is
-    returned.
+    (exact in dimension one, and for l1 within the vertex enumeration
+    cap).  For general penalties it is the strict inequality search of
+    :func:`nsp_check`, whose normalized margin is returned.
     """
     return _erc_from_scan(sub, cost, k, _validated_scan(sub, cost, k, seed))
 
@@ -462,20 +590,25 @@ class RobustnessProbe:
     """Outcome of the radius-d perturbation search.
 
     ``violated`` is sound (the witness was verified by direct evaluation).
-    ``passed_at_resolution`` is one-sided: no violation surfaced within the
-    budget.  The set a pass refers to is a convention, surfaced in
-    ``set_convention`` rather than silently chosen: the violation-free set
-    at radius d contains the d-interior of the exact-recovery set and is
-    contained in its d/(1+d)-interior, so a (true) pass certifies interior
-    membership only at the smaller radius ``implied_interior_radius``.
+    ``passed_sound`` is sound too: d lies below the certified l1 radius
+    ``certified_radius`` of the subspace, so no perturbation of relative
+    size below d violates the inequality, for l1 and every measure it
+    dominates.  ``passed_at_resolution`` is one-sided: no violation
+    surfaced within the budget.  The set a pass refers to is a convention,
+    surfaced in ``set_convention`` rather than silently chosen: the
+    violation-free set at radius d contains the d-interior of the
+    exact-recovery set and is contained in its d/(1+d)-interior, so a
+    (true) pass certifies interior membership only at the smaller radius
+    ``implied_interior_radius``.
     """
 
     d: float
-    outcome: str            # "violated" | "passed_at_resolution"
+    outcome: str            # "violated" | "passed_sound" | "passed_at_resolution"
     violation: Violation | None
     search_budget: int
     evaluations: int
     set_convention: str = "violation_free_at_resolution"
+    certified_radius: float = 0.0
 
     @property
     def violated(self) -> bool:
@@ -601,10 +734,12 @@ def rrc_probe(
 ) -> RobustnessProbe:
     """Search for a perturbed-inequality violation at radius d.
 
-    Scans the deficit landscape over the subspace, then attacks the best
-    candidates with perturbations from the open ball of radius d ||z||.
-    A returned violation is re-verified by direct evaluation; a pass only
-    certifies that the budgeted search found nothing.
+    Scans the deficit landscape over the subspace.  A radius within the
+    certified l1 radius of the subspace passes soundly with no search
+    (``passed_sound``); otherwise the best candidates are attacked with
+    perturbations from the open ball of radius d ||z||.  A returned
+    violation is re-verified by direct evaluation; a ``passed_at_resolution``
+    only certifies that the budgeted search found nothing.
     """
     if not 0 < d < math.inf:
         raise ValueError(f"need finite d > 0, got {d}")
@@ -616,7 +751,15 @@ def rrc_probe(
 def _rrc_from_scan(sub, cost, k, d, budget, scan) -> RobustnessProbe:
     measure = cost.measure
     shrink = 1.0 - TOL.strict_shrink
-    cands, evals = scan
+    cands, evals = scan.cands, scan.evaluations
+    sound_radius = _sound_radius(sub, measure, k, scan)
+
+    if d <= sound_radius * shrink:
+        return RobustnessProbe(d, "passed_sound", None, budget, evals, "violation_free",
+                               sound_radius)
+
+    def outcome(name, violation=None):
+        return RobustnessProbe(d, name, violation, budget, evals, certified_radius=sound_radius)
 
     def make_violation(z, n_vec):
         deficit = _deficit_raw(z + n_vec, measure, k)
@@ -635,7 +778,15 @@ def _rrc_from_scan(sub, cost, k, d, budget, scan) -> RobustnessProbe:
         if 2.0 * cand.q - 1.0 >= 0.0:
             v = make_violation(z, np.zeros(z.size))
             if v is not None:
-                return RobustnessProbe(d, "violated", v, budget, evals)
+                return outcome("violated", v)
+
+    # the vertex lines maximize the unperturbed deficit, but an attack from
+    # them misses violations that one from the search's candidates finds
+    # (the worst perturbed point lies off the vertices), so beyond the
+    # certified radius the attack starts from the search's candidates
+    if scan.search is not None:
+        cands, ev = scan.search()
+        evals += ev
 
     # phase 1: cheap closed-form perturbations on every (direction, scale)
     # pair; for scale-sensitive penalties the violating amplitude may differ
@@ -655,10 +806,10 @@ def _rrc_from_scan(sub, cost, k, d, budget, scan) -> RobustnessProbe:
             if val >= 0.0:
                 v = make_violation(z, n_vec)
                 if v is not None:
-                    return RobustnessProbe(d, "violated", v, budget, evals)
+                    return outcome("violated", v)
             pairs.append((val / max(radius, 1e-300), z, radius, n_vec))
             if evals >= budget:
-                return RobustnessProbe(d, "passed_at_resolution", None, budget, evals)
+                return outcome("passed_at_resolution")
 
     # phase 2: gradient ascent from the most promising pairs only
     pairs.sort(key=lambda p: p[0], reverse=True)
@@ -668,10 +819,10 @@ def _rrc_from_scan(sub, cost, k, d, budget, scan) -> RobustnessProbe:
         if val >= 0.0:
             v = make_violation(z, n_vec)
             if v is not None:
-                return RobustnessProbe(d, "violated", v, budget, evals)
+                return outcome("violated", v)
         if evals >= budget:
             break
-    return RobustnessProbe(d, "passed_at_resolution", None, budget, evals)
+    return outcome("passed_at_resolution")
 
 
 def robustness_constant(d: float, sigma_min: float) -> float:

@@ -371,15 +371,18 @@ def _lasso_path(a: MeasurementMatrix, y: Array, radius: float):
                 x = np.zeros(n)
                 x[active] = (u - lam * w) * ynorm
                 return x, lam * ynorm, kinks
-        if lam_next <= 0.0:
+        # once the active columns span the rows, e is the rounding of y - Ax,
+        # so a join then comes from a rounding-level correlation
+        joining = leave[leaves] >= gamma[joins]
+        if lam_next <= 0.0 or (joining and len(active) == ent.shape[0]):
             raise _PathBreakdown("the radius lies below the rounding of the residual")
-        if leave[leaves] < gamma[joins]:
-            left = active.pop(leaves)
-            left_sign = signs.pop(leaves)
-        else:
+        if joining:
             active.append(joins)
             signs.append(float(np.sign(ce[joins] + lam_next * cf[joins])))
             left, left_sign = -1, 0.0
+        else:
+            left = active.pop(leaves)
+            left_sign = signs.pop(leaves)
         lam = lam_next
     raise _PathBreakdown(f"kink cap {_KINKS_PER_COLUMN * n} reached")
 

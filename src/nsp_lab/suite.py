@@ -166,6 +166,7 @@ def criterion_probability_equality(seed, overrides):
     return passed, {
         "p_erc": summary.erc.p_hat,
         "p_rrc": rrc.p_hat,
+        "p_rrc_sound": summary.rrc_sound[1e-3].p_hat,
         "gap": gap,
         "ci_budget": budget,
         "boundary_fraction": summary.boundary_fraction,

@@ -333,34 +333,34 @@ class TradeoffPoint:
     gamma: float
     delta: float
     C: float | None              # robustness constant, present iff delta > 0
-    gordon_bound: float          # finite-size escape probability at d = d_fraction * delta
+    gordon_bound: float          # finite-size escape probability at d = TRADEOFF_D_FRACTION * delta
     oracle_constant: float | None
 
 
-def tradeoff(
-    beta: float,
-    gamma: float,
-    use_oracle_comparison: bool = True,
-    k_ref: int = 200,
-    d_fraction: float = 0.5,
-) -> TradeoffPoint:
+# The finite-size plug-in of ``tradeoff``'s escape probability.
+TRADEOFF_K_REF = 200        # reference sparsity
+TRADEOFF_D_FRACTION = 0.5   # perturbation radius as a fraction of delta
+
+
+def tradeoff(beta: float, gamma: float) -> TradeoffPoint:
     """Evaluate the rate-robustness tradeoff at one (beta, gamma) point.
 
     ``gordon_bound`` reports the finite-size escape probability at the
-    reference sparsity ``k_ref`` with the perturbation radius set to
-    ``d_fraction * delta`` (0 when delta <= 0): the asymptotic statement is
-    probability-one, so any finite plug-in is a convention and this one is
-    recorded with the point.
+    reference sparsity ``TRADEOFF_K_REF`` with the perturbation radius set
+    to ``TRADEOFF_D_FRACTION * delta`` (0 when delta <= 0): the asymptotic
+    statement is probability-one, so any finite plug-in is a convention and
+    this one is recorded with the point.  ``oracle_constant`` is the
+    support-aware constant, for gamma > 1.
     """
     delta = delta_margin(beta, gamma)
     c_val = None
     if delta > 0:
         c_val = 2.0 * (1.0 + delta) / (delta * (1.0 - math.sqrt(gamma / beta)))
-    n = int(math.floor(beta * k_ref))
-    m = int(math.ceil(gamma * k_ref))
-    d = d_fraction * max(delta, 0.0)
-    gb = gordon_bound(rv_bound(n, k_ref) + d * math.sqrt(n), m)
+    n = int(math.floor(beta * TRADEOFF_K_REF))
+    m = int(math.ceil(gamma * TRADEOFF_K_REF))
+    d = TRADEOFF_D_FRACTION * max(delta, 0.0)
+    gb = gordon_bound(rv_bound(n, TRADEOFF_K_REF) + d * math.sqrt(n), m)
     oracle = None
-    if use_oracle_comparison and gamma > 1:
+    if gamma > 1:
         oracle = oracle_robustness_constant(gamma)
     return TradeoffPoint(beta, gamma, delta, c_val, gb, oracle)

@@ -35,7 +35,8 @@ class TestCommands:
                      "--k", "1", "--d", "0.05", "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["outcome"] == "passed_at_resolution"
+        # the line through (1, 1, 1) has certified l1 radius 1/3 > 0.05
+        assert payload["outcome"] == "passed_sound"
 
     def test_recover(self, null_111_matrix, tmp_path):
         a = np.loadtxt(null_111_matrix, delimiter=",", skiprows=1)

@@ -73,6 +73,8 @@ class TestMonteCarlo:
         for d, ci in summary.rrc.items():
             # robust passes cannot exceed exact passes, trial by trial
             assert ci.successes <= summary.erc.successes
+            # the sound passes are a part of the passes
+            assert 0 < summary.rrc_sound[d].successes <= ci.successes
         assert 0.0 <= summary.boundary_fraction <= 1.0
 
     def test_determinism(self):
@@ -94,6 +96,7 @@ class TestMonteCarlo:
         summary = mc_probability(cfg)
         assert summary.erc.p_hat == 1.0
         assert summary.rrc[1e-3].p_hat == 1.0
+        assert summary.rrc_sound[1e-3].p_hat == 1.0   # gamma = 0: radius >= 1/sqrt(n)
 
     def test_haar_source(self):
         cfg = ExperimentConfig(n=4, m=2, k=1, trials=50, seed=7,
@@ -165,10 +168,10 @@ class TestMonteCarlo:
         cfg = ExperimentConfig(n=5, m=3, k=1, trials=3, d_grid=(1e-3, 1e-2), seed=2)
         summary = mc_probability(cfg)
         assert (summary.trials, summary.failures) == (0, 3)
-        for ci in (summary.erc, *summary.rrc.values()):
+        for ci in (summary.erc, *summary.rrc.values(), *summary.rrc_sound.values()):
             assert (ci.successes, ci.trials, ci.low, ci.high) == (0, 0, 0.0, 1.0)
             assert math.isnan(ci.p_hat)
-        assert list(summary.rrc) == [1e-3, 1e-2]
+        assert list(summary.rrc) == list(summary.rrc_sound) == [1e-3, 1e-2]
 
     def test_exp_measure_matches_closed_form_stream(self):
         # same sample stream, exact agreement outside the boundary band

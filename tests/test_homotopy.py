@@ -161,6 +161,19 @@ class TestFallback:
         assert "kink cap 0 reached" in res.note
         assert res.residual <= eps
 
+    @pytest.mark.parametrize("seed", [0, 2, 3, 4])
+    def test_radius_below_rounding(self, seed):
+        # the active set spans the rows before the radius is reached; the
+        # path then stops with the cause, not on a rounding-level join
+        rng = np.random.default_rng(seed)
+        a, y = rng.standard_normal((2, 3)), rng.standard_normal(2)
+        res = solve_noisy(noisy_problem(a, y, 1e-310), iters=40)
+        assert res.method == "descent"
+        assert "homotopy fell back (the radius lies below the rounding of the residual)" in res.note
+        # the descent it falls back to returns the point it always returned
+        forced = solve_noisy(noisy_problem(a, y, 1e-310, L1_DESCENT), iters=40)
+        assert np.array_equal(res.x_hat, forced.x_hat)
+
     def test_duplicate_columns(self):
         # two equal columns make every active set holding both singular
         rng = np.random.default_rng(22)

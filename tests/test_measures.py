@@ -177,6 +177,18 @@ class TestPropertyChecks:
             if report.ratio_violations[1.0] == 0:
                 assert report.subadditivity_violations == 0
 
+    def test_declared_ratio_flag_is_clean(self):
+        # ratio_nonincreasing puts a measure under the l1 certified radius,
+        # so every built-in that declares it must pass the sampled check
+        flagged = [builtin_measure("lp", p=p) for p in (0.1, 0.3, 0.7, 1.0)] + [
+            builtin_measure("mcp_zap", alpha=a) for a in (0.5, 5.0)] + [
+            builtin_measure("scad", lam=0.5, a=2.5)] + CONTINUOUS_BUILTINS
+        for m in flagged:
+            assert m.ratio_nonincreasing is True and m.non_decreasing is True, m.spec_string()
+            report = check_measure_properties(m, sample_budget=40_000, powers=(1.0,))
+            assert report.clean, m.spec_string()
+        assert builtin_measure("l0").ratio_nonincreasing is None
+
     def test_induced_metric_on_samples(self):
         rng = np.random.default_rng(7)
         for m in CONTINUOUS_BUILTINS:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -128,13 +129,13 @@ class TestNsc:
         # member line it contains
         rng = np.random.default_rng(11)
         sub = sample_haar(5, 2, rng)
-        report = nsc(sub, cost(L1, 5), 1)
+        report = nsc(sub, cost(builtin_measure("lp", p=0.5), 5), 1)
         assert report.method == "sphere_enum"
         assert report.is_lower_bound
         for _ in range(200):
             w = rng.standard_normal(2)
             member = sub.basis @ (w / np.linalg.norm(w))
-            assert theta_line_oracle(member, 1.0, 1) <= report.theta + 1e-6
+            assert theta_line_oracle(member, 0.5, 1) <= report.theta + 1e-6
 
     def test_scale_invariance_under_rebasis(self):
         rng = np.random.default_rng(12)
@@ -150,14 +151,14 @@ class TestNsc:
     def test_multistart_on_three_dimensional_subspace(self):
         rng = np.random.default_rng(17)
         sub = sample_haar(7, 3, rng)
-        report = nsc(sub, cost(L1, 7), 1)
+        report = nsc(sub, cost(builtin_measure("lp", p=0.5), 7), 1)
         assert report.method == "multistart"
         assert report.is_lower_bound
         # any member line bounds the subspace value from below
         for _ in range(100):
             w = rng.standard_normal(3)
             member = sub.basis @ (w / np.linalg.norm(w))
-            assert theta_line_oracle(member, 1.0, 1) <= report.theta + 1e-6
+            assert theta_line_oracle(member, 0.5, 1) <= report.theta + 1e-6
 
     def test_theta_continuity_under_perturbation(self):
         rng = np.random.default_rng(13)
@@ -219,8 +220,10 @@ class TestRrcProbe:
             assert len(t) <= 1
 
     def test_uniform_line_passes_small_radius(self):
+        # gamma = 1/3 and kappa = 1/sqrt(3): certified radius 1/3 > 0.05
         probe = rrc_probe(line(1, 1, 1), cost(L1, 3), 1, 0.05, seed=2)
-        assert probe.outcome == "passed_at_resolution"
+        assert probe.outcome == "passed_sound"
+        assert probe.certified_radius == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_uniform_line_pass_confirmed_by_dense_oracle(self):
         # independent dense grid over perturbations and supports
@@ -357,6 +360,7 @@ LP_HALF = builtin_measure("lp", p=0.5)
 MCP = builtin_measure("mcp_zap", alpha=2.0)
 SCAD = builtin_measure("scad")
 CONTINUOUS = (L1, LP_HALF, EXP, MCP, SCAD)
+GRID = (LP_HALF, EXP, MCP, SCAD)   # the measures whose planes are scanned on the angle grid
 
 
 def serial_golden_max(fun, lo, hi, iters):
@@ -458,7 +462,14 @@ def serial_refine_scale(direction, measure, k):
 
 
 def serial_scan(sub, measure, k, rng=None):
-    """Scan of a line or a plane with the peaks refined one at a time."""
+    """Scan of a line or a plane with the peaks refined one at a time.
+    It certifies no radius, so it stands in for the scan of a measure
+    that declares no dominance."""
+    cands, evals = serial_search(sub, measure, k)
+    return nsp._Scan(cands, evals, sub.dim == 1 and measure.is_homogeneous, 0.0)
+
+
+def serial_search(sub, measure, k):
     scales = nsp._scale_grid(measure)
     if sub.dim == 1:
         direction = sub.basis[:, 0]
@@ -545,21 +556,27 @@ class TestBatchedSearch:
     def test_scan_matches_single_refinements(self, dim):
         rng = np.random.default_rng(44 + dim)
         for n in range(dim + 1, 14):
-            for measure in CONTINUOUS:
+            for measure in CONTINUOUS if dim == 1 else GRID:
                 sub = sample_haar(n, dim, rng)
                 k = int(rng.integers(0, min(n, 4)))
-                cands, evals = nsp._scan_subspace(sub, measure, k, None)
-                ref, ref_evals = serial_scan(sub, measure, k)
-                assert evals == ref_evals
-                assert [(c.q, c.scale) for c in cands] == [(c.q, c.scale) for c in ref]
-                for c, r in zip(cands, ref):
+                scan = nsp._scan_subspace(sub, measure, k, None)
+                ref, ref_evals = serial_search(sub, measure, k)
+                assert scan.evaluations == ref_evals
+                assert [(c.q, c.scale) for c in scan.cands] == [(c.q, c.scale) for c in ref]
+                for c, r in zip(scan.cands, ref):
                     assert np.array_equal(c.direction, r.direction)
 
     def test_probe_matches_single_evaluation_search(self, monkeypatch):
+        # the dominance flag is cleared so that no radius is certified and
+        # every probe runs its attack; lp(p=0.7) is homogeneous but not
+        # 1-homogeneous, so its planes take the angle grid at scale 1
         rng = np.random.default_rng(46)
+        lp07, exp, mcp, lp_half, scad = (
+            dataclasses.replace(m, ratio_nonincreasing=None)
+            for m in (builtin_measure("lp", p=0.7), EXP, MCP, LP_HALF, SCAD))
         cases = []
-        for n, dim, measure in [(3, 1, EXP), (4, 1, L1), (4, 2, L1), (5, 2, MCP),
-                                (6, 2, LP_HALF), (9, 2, SCAD), (5, 2, EXP)]:
+        for n, dim, measure in [(3, 1, exp), (4, 1, lp07), (4, 2, lp07), (5, 2, mcp),
+                                (6, 2, lp_half), (9, 2, scad), (5, 2, exp)]:
             sub = sample_haar(n, dim, rng)
             for d in (1e-3, 0.1):
                 cases.append((sub, cost(measure, n), d))

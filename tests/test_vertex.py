@@ -1,0 +1,196 @@
+"""Exact l1 certificates from the vertex lines of the null space, and the
+certified robust radius they give.
+
+The oracle for gamma = max ||z_T||_1 / ||z||_1 over the null space N is one
+linear program per support T of size k and sign pattern s on it:
+max s . z_T subject to z in N and ||z||_1 <= 1 (scipy's HiGHS).  The
+maximum over (T, s) is gamma, and theta = gamma / (1 - gamma).
+"""
+
+import dataclasses
+import itertools
+import math
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+
+from nsp_lab import nsp
+from nsp_lab.measures import CostFunction, SparsenessMeasure, builtin_measure
+from nsp_lab.nsp import nsc, rrc_probe
+from nsp_lab.subspaces import Subspace, sample_haar
+
+L1 = builtin_measure("l1")
+DOMINATED = (builtin_measure("lp", p=0.5), builtin_measure("exp_ce1"),
+             builtin_measure("mcp_zap", alpha=2.0), builtin_measure("scad"))
+
+
+def lp_gamma(basis, k):
+    """gamma by one LP per (T, s); variables (w, z+, z-) with B w = z+ - z-."""
+    n, l = basis.shape
+    a_eq = np.hstack([basis, -np.eye(n), np.eye(n)])
+    a_ub = np.concatenate([np.zeros(l), np.ones(2 * n)])[None, :]
+    bounds = [(None, None)] * l + [(0, None)] * (2 * n)
+    best = 0.0
+    for support in itertools.combinations(range(n), k):
+        # N is symmetric, so the first sign can be fixed
+        for signs in itertools.product((1.0, -1.0), repeat=k - 1):
+            c = np.zeros(l + 2 * n)
+            for i, s in zip(support, (1.0,) + signs):
+                c[l + i], c[l + n + i] = -s, s
+            res = linprog(c, A_ub=a_ub, b_ub=[1.0], A_eq=a_eq, b_eq=np.zeros(n),
+                          bounds=bounds, method="highs")
+            assert res.status == 0
+            best = max(best, -res.fun)
+    return best
+
+
+def orthonormal(rows):
+    q, _ = np.linalg.qr(np.asarray(rows, dtype=float))
+    return Subspace(q)
+
+
+def forced_attack(sub, measure, k, d, seed=0):
+    """The probe with its certified radius set aside: the quick starts and
+    the ascent run at every radius."""
+    cost = CostFunction(measure, sub.ambient_dim)
+    scan = nsp._validated_scan(sub, cost, k, seed)
+    scan.sound_radius = 0.0
+    return nsp._rrc_from_scan(sub, cost, k, d, 20_000, scan)
+
+
+class TestExactTheta:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_matches_lp_oracle(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        for n in range(dim + 1, 8):
+            for k in range(1, min(3, n - dim) + 1):
+                sub = sample_haar(n, dim, rng)
+                gamma = lp_gamma(sub.basis, k)
+                report = nsc(sub, CostFunction(L1, n), k)
+                assert report.method == "vertex_enum"
+                assert not report.is_lower_bound
+                assert report.theta == pytest.approx(gamma / (1.0 - gamma), rel=1e-12), (n, k)
+
+    @pytest.mark.parametrize("case", ["zero_coordinate", "duplicate_rows"])
+    def test_skipped_subsets_lose_no_vertex(self, case):
+        # every (l-1)-subset holding the zero row, or both duplicate rows, is
+        # rank-deficient and skipped; theta still matches the oracle
+        rng = np.random.default_rng(70)
+        n, dim = 7, 3
+        for _ in range(5):
+            rows = rng.standard_normal((n, dim))
+            if case == "zero_coordinate":
+                rows[4] = 0.0
+            else:
+                rows[5] = rows[1]
+            sub = orthonormal(rows)
+            lines = np.vstack(list(nsp._vertex_lines(sub.basis)))
+            assert len(lines) < math.comb(n, dim - 1)
+            for k in (1, 2):
+                gamma = lp_gamma(sub.basis, k)
+                theta = nsc(sub, CostFunction(L1, n), k).theta
+                assert theta == pytest.approx(gamma / (1.0 - gamma), rel=1e-12)
+
+    def test_kappa_is_attained_on_a_vertex_line(self):
+        rng = np.random.default_rng(71)
+        for n, dim in ((5, 2), (7, 2), (6, 3), (8, 4)):
+            sub = sample_haar(n, dim, rng)
+            lines = np.vstack(list(nsp._vertex_lines(sub.basis)))
+            assert np.allclose(sub.basis @ (sub.basis.T @ lines.T), lines.T, atol=1e-12)
+            kappa = (np.linalg.norm(lines, axis=1) / np.abs(lines).sum(axis=1)).max()
+            if dim == 2:   # a dense circle approaches the maximum from below
+                ang = np.linspace(0.0, math.pi, 400_001)
+                z = sub.basis @ np.vstack([np.cos(ang), np.sin(ang)])
+            else:
+                z = sub.basis @ rng.standard_normal((dim, 200_000))
+            ratios = np.linalg.norm(z, axis=0) / np.abs(z).sum(axis=0)
+            assert ratios.max() <= kappa * (1.0 + 1e-12)
+            if dim == 2:
+                assert ratios.max() == pytest.approx(kappa, rel=1e-4)
+            gamma = nsc(sub, CostFunction(L1, n), 1).theta
+            gamma = gamma / (1.0 + gamma)
+            radius = nsp._l1_vertex_scan(sub.basis, 1).sound_radius
+            assert radius == pytest.approx(max(1.0 - 2.0 * gamma, 0.0) / (math.sqrt(n) * kappa),
+                                           rel=1e-12)
+
+    def test_past_the_cap_keeps_the_search(self, monkeypatch):
+        # C(6, 2) = 15 vertex lines above the cap, C(6, 1) = 6 supports below it
+        monkeypatch.setattr(nsp, "SUPPORT_ENUMERATION_CAP", 10)
+        sub = sample_haar(6, 3, 72)
+        report = nsc(sub, CostFunction(L1, 6), 1)
+        assert report.method == "multistart"
+        assert report.is_lower_bound
+        probe = rrc_probe(sub, CostFunction(L1, 6), 1, 1e-6)
+        assert probe.outcome != "passed_sound"
+        assert probe.certified_radius == 0.0
+
+
+class TestCertifiedRadius:
+    def test_uniform_line_radius_is_tight(self):
+        # at (1, 1, 1) the sign-aligned push of length d reaches deficit 0
+        # exactly at d = 1/3, so the certified radius cannot grow
+        sub = Subspace.from_generator(np.array([1.0, 1.0, 1.0]))
+        probe = rrc_probe(sub, CostFunction(L1, 3), 1, 1.0 / 3.0 - 1e-9)
+        assert probe.outcome == "passed_sound"
+        assert probe.set_convention == "violation_free"
+        assert rrc_probe(sub, CostFunction(L1, 3), 1, 0.34).violated
+
+    def test_forced_attack_finds_nothing_within_the_radius(self):
+        rng = np.random.default_rng(73)
+        certified = 0
+        for trial in range(30):
+            n, dim = ((5, 2), (4, 1), (6, 2), (6, 3))[trial % 4]
+            sub = sample_haar(n, dim, rng)
+            radius = nsp._l1_vertex_scan(sub.basis, 1).sound_radius
+            if radius == 0.0:
+                continue
+            certified += 1
+            for measure in (L1,) + DOMINATED:
+                for d in (radius * (1.0 - 1e-9), radius / 3.0):
+                    probe = forced_attack(sub, measure, 1, d, seed=trial)
+                    assert not probe.violated, (trial, measure.spec_string(), d, radius)
+        assert certified >= 10
+
+    def test_attack_beyond_the_radius_starts_from_the_search(self, monkeypatch):
+        # a member's probe beyond r(N) attacks the search's candidates, so
+        # its verdict and witness are those of the search-only probe
+        rng = np.random.default_rng(75)
+        cases = []
+        for trial in range(40):
+            n, dim = ((5, 2), (6, 2), (6, 3))[trial % 3]
+            sub = sample_haar(n, dim, rng)
+            radius = nsp._l1_vertex_scan(sub.basis, 1).sound_radius
+            if radius > 0.0:
+                cases += [(sub, d, trial) for d in (2.0 * radius, 0.2) if d > radius]
+        got = [rrc_probe(sub, CostFunction(L1, sub.ambient_dim), 1, d, seed=s)
+               for sub, d, s in cases]
+        monkeypatch.setattr(nsp, "_enumerable", lambda sub: False)
+        outcomes = set()
+        for probe, (sub, d, s) in zip(got, cases):
+            ref = rrc_probe(sub, CostFunction(L1, sub.ambient_dim), 1, d, seed=s)
+            assert probe.outcome == ref.outcome != "passed_sound"
+            outcomes.add(probe.outcome)
+            if ref.violated:
+                assert np.array_equal(probe.violation.z, ref.violation.z)
+                assert np.array_equal(probe.violation.n_vec, ref.violation.n_vec)
+        assert outcomes == {"violated", "passed_at_resolution"}
+
+    def test_only_declared_measures_pass_soundly(self):
+        sub = Subspace.from_generator(np.array([1.0, 1.0, 1.0]))
+        double = SparsenessMeasure("double_l1", lambda t: 2.0 * t, homogeneity_degree=1.0)
+        for measure in (L1, double) + DOMINATED:
+            probe = rrc_probe(sub, CostFunction(measure, 3), 1, 0.1)
+            assert probe.outcome == "passed_sound", measure.name
+            assert probe.certified_radius == pytest.approx(1.0 / 3.0, rel=1e-12)
+        undeclared = [dataclasses.replace(m, ratio_nonincreasing=None) for m in DOMINATED]
+        undeclared += [dataclasses.replace(m, non_decreasing=None) for m in DOMINATED]
+        undeclared += [builtin_measure("l0")]
+        rng = np.random.default_rng(74)
+        subs = [sub] + [sample_haar(5, dim, rng) for dim in (1, 2, 1, 2)]
+        for measure in undeclared:
+            for s in subs:
+                probe = rrc_probe(s, CostFunction(measure, s.ambient_dim), 1, 1e-3,
+                                  budget=2_000)
+                assert probe.outcome != "passed_sound", measure.name
+                assert probe.certified_radius == 0.0
