@@ -2,8 +2,11 @@
 
 Subcommands: nsc, probe, recover, width, tradeoff, mc, boundary, ce1,
 suite.  Global flags: --seed, --threads, --out, --format {csv,json},
---config FILE (plain key=value lines; explicit flags override file
-values).  Exit codes: 0 success, 1 criterion failure, 2 usage error.
+--config FILE.  Each ``key=value`` line of a config file is the flag
+``--key=value``, given before the command line's own flags: it has the
+flag's type and choices, an unknown key exits 2, a flag on the command
+line wins, and the ``config`` hash does not depend on where a value came
+from.  Exit codes: 0 success, 1 criterion failure, 2 usage error.
 
 Outputs are deterministic for a fixed config and seed: floats are printed
 with 17 significant digits, JSON keys are sorted, and no timestamps are
@@ -74,12 +77,9 @@ def _emit(rows, fmt, out):
         sys.stdout.write(text)
 
 
-def _args_hash(args, keys) -> str:
-    return config_hash({k: getattr(args, k, None) for k in keys})
-
-
-def _load_config(path) -> dict:
-    cfg = {}
+def _load_config(path) -> list:
+    """The flag tokens ``--key=value`` of a file of ``key=value`` lines."""
+    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -88,18 +88,8 @@ def _load_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
             key, val = line.split("=", 1)
-            cfg[key.strip().replace("-", "_")] = val.strip()
-    return cfg
-
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill namespace entries that are still None from the config file."""
-    if getattr(args, "config", None):
-        file_cfg = _load_config(args.config)
-        for key, raw in file_cfg.items():
-            if getattr(args, key, "missing") is None:
-                setattr(args, key, raw)
-    return args
+            tokens.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    return tokens
 
 
 def _require(args, names):
@@ -108,111 +98,51 @@ def _require(args, names):
         raise ValueError(f"missing required option(s): {', '.join('--' + m.replace('_', '-') for m in missing)}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nsp-lab",
-        description="null-space recovery certificates, widths and robustness constants",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _given(args, *names, **renamed) -> dict:
+    """Keyword arguments for the options the user set, so that the library's
+    defaults apply to the rest; ``renamed`` maps a keyword to its option."""
+    pairs = [(n, n) for n in names] + list(renamed.items())
+    return {kw: getattr(args, opt) for kw, opt in pairs if getattr(args, opt) is not None}
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--config", default=None, help="key=value file; flags override")
 
-    p = sub.add_parser("nsc", help="null space constant of a matrix null space")
-    add_common(p)
-    p.add_argument("--matrix", default=None, help="CSV file with a shape header")
-    p.add_argument("--measure", default=None, help='e.g. "lp(p=0.5)"')
-    p.add_argument("--k", type=int, default=None)
+def _args_hash(args) -> str:
+    """The ``config`` hash: the command, its options as parsed, and the seed."""
+    names = [name for name, _ in _SUBCOMMANDS[args.command][3]]
+    return config_hash({k: getattr(args, k) for k in ("command", "seed", *names)})
 
-    p = sub.add_parser("probe", help="perturbed-inequality violation search")
-    add_common(p)
-    p.add_argument("--matrix", default=None)
-    p.add_argument("--measure", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--d", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None)
 
-    p = sub.add_parser("recover", help="penalty-minimizing recovery")
-    add_common(p)
-    p.add_argument("--matrix", default=None)
-    p.add_argument("--y", default=None, help="CSV file holding the measurement vector")
-    p.add_argument("--measure", default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--method", choices=("descent", "irls", "enumerate"), default=None)
+def _floats(text: str) -> tuple:
+    return tuple(float(t) for t in text.split(","))
 
-    p = sub.add_parser("width", help="Monte Carlo Gaussian width of the failure section")
-    add_common(p)
-    p.add_argument("--measure", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--draws", type=int, default=None)
-    p.add_argument("--d", type=float, default=None, help="also estimate the d-extended width")
 
-    p = sub.add_parser("tradeoff", help="rate-robustness tradeoff sweep")
-    add_common(p)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--gamma-sweep", dest="gamma_sweep", default=None, help="lo:hi:step")
-
-    p = sub.add_parser("mc", help="Monte Carlo recovery probabilities")
-    add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--measure", default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--d-grid", dest="d_grid", default=None, help="comma-separated radii")
-    p.add_argument("--source", choices=("gaussian_iid", "haar_nullspace", "file"), default=None)
-    p.add_argument("--matrix", default=None)
-
-    p = sub.add_parser("boundary", help="two-parameter region map")
-    add_common(p)
-    p.add_argument("--measure", default=None)
-    p.add_argument("--grid", default=None, help="RxC, e.g. 200x200")
-    p.add_argument("--domain", default=None, help="a_max,b_max")
-
-    p = sub.add_parser("ce1", help="verify the explicit boundary instance")
-    add_common(p)
-    p.add_argument("--d-list", dest="d_list", default=None, help="comma-separated radii")
-
-    p = sub.add_parser("suite", help="run a verification suite")
-    add_common(p)
-    p.add_argument("--name", default=None, choices=("paper_checks", "quick"))
-
-    return parser
+def _matrix_and_cost(args):
+    a = MeasurementMatrix(read_matrix_csv(args.matrix))
+    return a, CostFunction(parse_measure(args.measure), a.shape[1])
 
 
 def _cmd_nsc(args) -> int:
     _require(args, ["matrix", "measure", "k"])
-    a = MeasurementMatrix(read_matrix_csv(args.matrix))
-    cost = CostFunction(parse_measure(args.measure), a.shape[1])
-    report = nsc(null_space(a), cost, int(args.k), seed=args.seed)
+    a, cost = _matrix_and_cost(args)
+    report = nsc(null_space(a), cost, args.k, seed=args.seed)
     _emit([{
-        "config": _args_hash(args, ("command", "matrix", "measure", "k", "seed")),
+        "config": _args_hash(args),
         "theta": report.theta,
         "witness_z": report.witness_z,
         "witness_T": list(report.witness_T),
         "method": report.method,
         "evaluations": report.evaluations,
         "is_lower_bound": report.is_lower_bound,
-    }], args.format or "json", args.out)
+    }], args.format, args.out)
     return 0
 
 
 def _cmd_probe(args) -> int:
     _require(args, ["matrix", "measure", "k", "d"])
-    a = MeasurementMatrix(read_matrix_csv(args.matrix))
-    cost = CostFunction(parse_measure(args.measure), a.shape[1])
-    budget = int(args.budget) if args.budget is not None else 200_000
-    probe = rrc_probe(null_space(a), cost, int(args.k), float(args.d),
-                      budget=budget, seed=args.seed)
+    a, cost = _matrix_and_cost(args)
+    probe = rrc_probe(null_space(a), cost, args.k, args.d, seed=args.seed,
+                      **_given(args, "budget"))
     row = {
-        "config": _args_hash(args, ("command", "matrix", "measure", "k", "d", "budget", "seed")),
+        "config": _args_hash(args),
         "d": probe.d, "outcome": probe.outcome, "evaluations": probe.evaluations,
     }
     if probe.violation is not None:
@@ -222,25 +152,20 @@ def _cmd_probe(args) -> int:
             "violation_T": list(probe.violation.support),
             "deficit": probe.violation.deficit,
         })
-    _emit([row], args.format or "json", args.out)
+    _emit([row], args.format, args.out)
     return 0
 
 
 def _cmd_recover(args) -> int:
     _require(args, ["matrix", "y", "measure"])
-    a = MeasurementMatrix(read_matrix_csv(args.matrix))
+    a, cost = _matrix_and_cost(args)
     y = read_matrix_csv(args.y).ravel()
-    cost = CostFunction(parse_measure(args.measure), a.shape[1])
-    eps = float(args.eps) if args.eps is not None else 0.0
-    k = int(args.k) if args.k is not None else max(1, a.shape[0] // 2)
-    problem = RecoveryProblem(a, y, eps, cost, k)
-    method = args.method or "descent"
-    if eps == 0.0:
-        result = solve_noiseless(problem, method=method, seed=args.seed)
-    else:
-        result = solve_noisy(problem, method=method, seed=args.seed)
+    eps = args.eps if args.eps is not None else 0.0
+    k = args.k if args.k is not None else max(1, a.shape[0] // 2)
+    solve = solve_noiseless if eps == 0.0 else solve_noisy
+    result = solve(RecoveryProblem(a, y, eps, cost, k), seed=args.seed, **_given(args, "method"))
     row = {
-        "config": _args_hash(args, ("command", "matrix", "y", "measure", "eps", "k", "method", "seed")),
+        "config": _args_hash(args),
         "x_hat": result.x_hat,
         "cost_value": result.cost_value,
         "residual": result.residual,
@@ -251,120 +176,100 @@ def _cmd_recover(args) -> int:
     }
     if result.kkt_residual is not None:
         row["kkt_residual"] = result.kkt_residual
-    _emit([row], args.format or "json", args.out)
+    _emit([row], args.format, args.out)
     return 0
 
 
 def _cmd_width(args) -> int:
     _require(args, ["measure", "n", "k"])
-    cost = CostFunction(parse_measure(args.measure), int(args.n))
-    draws = int(args.draws) if args.draws is not None else 10_000
-    est = width_mc(cost, int(args.k), draws=draws, seed=args.seed)
+    cost = CostFunction(parse_measure(args.measure), args.n)
+    draws = _given(args, "draws")
+    est = width_mc(cost, args.k, seed=args.seed, **draws)
     row = {
-        "config": _args_hash(args, ("command", "measure", "n", "k", "draws", "d", "seed")),
+        "config": _args_hash(args),
         "mean": est.mean, "std_error": est.std_error, "samples": est.samples,
         "inner_search": est.inner_search, "is_lower_bound": est.is_lower_bound,
     }
     if args.d is not None:
-        ext = width_extended(cost, int(args.k), float(args.d), draws=draws, seed=args.seed)
-        row.update({"extended_mean": ext.mean, "extended_std_error": ext.std_error, "d": float(args.d)})
-    _emit([row], args.format or "json", args.out)
+        ext = width_extended(cost, args.k, args.d, seed=args.seed, **draws)
+        row.update({"extended_mean": ext.mean, "extended_std_error": ext.std_error, "d": args.d})
+    _emit([row], args.format, args.out)
     return 0
 
 
 def _parse_sweep(text: str):
     lo, hi, step = (float(tok) for tok in text.split(":"))
-    if step <= 0 or hi < lo:
-        raise ValueError(f"bad sweep {text!r}")
+    if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0 or hi < lo:
+        raise ValueError(f"bad sweep {text!r}: need finite lo <= hi and step > 0")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [lo + i * step for i in range(count)]
 
 
 def _cmd_tradeoff(args) -> int:
     _require(args, ["beta"])
-    beta = float(args.beta)
     if args.gamma_sweep:
         gammas = _parse_sweep(args.gamma_sweep)
     elif args.gamma is not None:
-        gammas = [float(args.gamma)]
+        gammas = [args.gamma]
     else:
         raise ValueError("provide --gamma or --gamma-sweep")
     rows = []
     for g in gammas:
-        pt = tradeoff(beta, g)
+        pt = tradeoff(args.beta, g)
         rows.append({
             "gamma": pt.gamma,
             "delta": pt.delta,
             "C": pt.C if pt.C is not None else math.nan,
             "oracle_C": pt.oracle_constant if pt.oracle_constant is not None else math.nan,
             "gordon_bound": pt.gordon_bound,
-            "config": _args_hash(args, ("command", "beta", "gamma", "gamma_sweep", "seed")),
+            "config": _args_hash(args),
         })
-    _emit(rows, args.format or "csv", args.out)
+    _emit(rows, args.format, args.out)
     return 0
 
 
 def _cmd_mc(args) -> int:
     _require(args, ["n", "m", "k"])
-    d_grid = tuple(float(t) for t in (args.d_grid or "0.001").split(","))
-    cfg = ExperimentConfig(
-        n=int(args.n), m=int(args.m), k=int(args.k),
-        measure=args.measure or "l1",
-        trials=int(args.trials) if args.trials is not None else 1000,
-        d_grid=d_grid, seed=args.seed,
-        matrix_source=args.source or "gaussian_iid",
-        matrix_file=args.matrix,
-    )
-    summary = mc_probability(cfg, threads=args.threads or 1)
+    cfg = ExperimentConfig(n=args.n, m=args.m, k=args.k, seed=args.seed,
+                           **_given(args, "measure", "trials", "d_grid",
+                                    matrix_source="source", matrix_file="matrix"))
+    summary = mc_probability(cfg, **_given(args, "threads"))
     if not summary.trials:
         print(f"nsp-lab: all {summary.failures} trials failed", file=sys.stderr)
         return 1
-    rows = [{
-        "quantity": "erc",
-        "estimate": summary.erc.p_hat,
-        "ci_low": summary.erc.low,
-        "ci_high": summary.erc.high,
+    estimates = [("erc", summary.erc)] + [(f"rrc@d={d:g}", ci) for d, ci in summary.rrc.items()]
+    _emit([{
+        "quantity": quantity,
+        "estimate": ci.p_hat,
+        "ci_low": ci.low,
+        "ci_high": ci.high,
         "trials": summary.trials,
         "boundary_fraction": summary.boundary_fraction,
         "failures": summary.failures,
         "config": config_hash(cfg.to_dict()),
-    }]
-    for d, ci in summary.rrc.items():
-        rows.append({
-            "quantity": f"rrc@d={d:g}",
-            "estimate": ci.p_hat,
-            "ci_low": ci.low,
-            "ci_high": ci.high,
-            "trials": summary.trials,
-            "boundary_fraction": summary.boundary_fraction,
-            "failures": summary.failures,
-            "config": config_hash(cfg.to_dict()),
-        })
-    _emit(rows, args.format or "csv", args.out)
+    } for quantity, ci in estimates], args.format, args.out)
     return 0
 
 
 def _cmd_boundary(args) -> int:
     _require(args, ["measure", "out"])
-    grid_text = args.grid or "200x200"
-    rows_cols = tuple(int(t) for t in grid_text.lower().split("x"))
-    domain = tuple(float(t) for t in (args.domain or "2,2").split(","))
-    emit_plot_data("boundary_map", args.out, seed=args.seed,
-                   measure=args.measure, grid=rows_cols, domain=domain)
+    rows_cols = tuple(int(t) for t in (args.grid or "200x200").lower().split("x"))
+    emit_plot_data("boundary_map", args.out, seed=args.seed, measure=args.measure,
+                   grid=rows_cols, domain=_floats(args.domain or "2,2"))
     return 0
 
 
 def _cmd_ce1(args) -> int:
-    d_list = tuple(float(t) for t in (args.d_list or "0.5,0.1,0.01,0.001").split(","))
-    report = verify_counterexample1(d_list=d_list, seed=args.seed)
-    cfg = _args_hash(args, ("command", "d_list", "seed"))
+    d_list = {"d_list": _floats(args.d_list)} if args.d_list is not None else {}
+    report = verify_counterexample1(seed=args.seed, **d_list)
+    cfg = _args_hash(args)
     rows = [{
         "config": cfg,
         "d": e.d, "t_star": e.t_star, "deficit": e.deficit,
         "epsilon": e.epsilon, "error_ratio": e.error_ratio,
         "ratio_guarantee": e.ratio_guarantee, "found": e.found,
     } for e in report.entries]
-    _emit(rows, args.format or "json", args.out)
+    _emit(rows, args.format, args.out)
     if not report.passed:
         print("violation search FAILED for at least one radius", file=sys.stderr)
         return 1
@@ -377,30 +282,76 @@ def _cmd_suite(args) -> int:
     return report.exit_status
 
 
-_COMMANDS = {
-    "nsc": _cmd_nsc,
-    "probe": _cmd_probe,
-    "recover": _cmd_recover,
-    "width": _cmd_width,
-    "tradeoff": _cmd_tradeoff,
-    "mc": _cmd_mc,
-    "boundary": _cmd_boundary,
-    "ce1": _cmd_ce1,
-    "suite": _cmd_suite,
+def _opt(name, type=str, choices=None, help=None):
+    return name, {"type": type, "choices": choices, "help": help}
+
+
+_COMMON = (_opt("seed", int), _opt("threads", int), _opt("out"),
+           _opt("format", choices=("csv", "json")),
+           _opt("config", help="key=value file; flags override"))
+
+# One table per subcommand: handler, help, default output format, and the
+# options (name, type, choices, help).  The table builds the parser and names
+# the options of the ``config`` hash.  An option left unset stays None and
+# the handler does not pass it on, so the library's own default applies.
+_SUBCOMMANDS = {
+    "nsc": (_cmd_nsc, "null space constant of a matrix null space", "json", (
+        _opt("matrix", help="CSV file with a shape header"),
+        _opt("measure", help='e.g. "lp(p=0.5)"'), _opt("k", int))),
+    "probe": (_cmd_probe, "perturbed-inequality violation search", "json", (
+        _opt("matrix"), _opt("measure"), _opt("k", int), _opt("d", float),
+        _opt("budget", int))),
+    "recover": (_cmd_recover, "penalty-minimizing recovery", "json", (
+        _opt("matrix"), _opt("y", help="CSV file holding the measurement vector"),
+        _opt("measure"), _opt("eps", float), _opt("k", int),
+        _opt("method", choices=("descent", "irls", "enumerate")))),
+    "width": (_cmd_width, "Monte Carlo Gaussian width of the failure section", "json", (
+        _opt("measure"), _opt("n", int), _opt("k", int), _opt("draws", int),
+        _opt("d", float, help="also estimate the d-extended width"))),
+    "tradeoff": (_cmd_tradeoff, "rate-robustness tradeoff sweep", "csv", (
+        _opt("beta", float), _opt("gamma", float),
+        _opt("gamma_sweep", help="lo:hi:step"))),
+    "mc": (_cmd_mc, "Monte Carlo recovery probabilities", "csv", (
+        _opt("n", int), _opt("m", int), _opt("k", int), _opt("measure"),
+        _opt("trials", int), _opt("d_grid", _floats, help="comma-separated radii"),
+        _opt("source", choices=("gaussian_iid", "haar_nullspace", "file")),
+        _opt("matrix"))),
+    "boundary": (_cmd_boundary, "two-parameter region map", None, (
+        _opt("measure"), _opt("grid", help="RxC, e.g. 200x200"),
+        _opt("domain", help="a_max,b_max"))),
+    # the d-list stays text: ce1's config hash names it as written
+    "ce1": (_cmd_ce1, "verify the explicit boundary instance", "json", (
+        _opt("d_list", help="comma-separated radii"),)),
+    "suite": (_cmd_suite, "run a verification suite", None, (
+        _opt("name", choices=("paper_checks", "quick")),)),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nsp-lab",
+        description="null-space recovery certificates, widths and robustness constants",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_text, fmt, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, kwargs in _COMMON + options:
+            p.add_argument("--" + name.replace("_", "-"), **kwargs)
+        p.set_defaults(seed=0, format=fmt)
+    return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # the file's flags go first, so the command line's own flags win
+            args = parser.parse_args([argv[0], *_load_config(args.config), *argv[1:]])
+        return _SUBCOMMANDS[args.command][0](args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        args = _merge_config(args)
-        args.seed = int(args.seed) if args.seed is not None else 0
-        args.threads = int(args.threads) if args.threads is not None else 1
-        return _COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"nsp-lab: error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,6 @@ class Tolerances:
     membership: float = 1e-10      # relative residual for "z lies in the subspace"
     boundary_margin: float = 1e-9  # trichotomy band on the normalized deficit
     property_rel: float = 1e-9     # relative slack in sampled property checks
-    witness_ratio: float = 1e-9    # witness must reproduce its reported value this well
     feasibility: float = 1e-9      # solver feasibility slack
     strict_shrink: float = 1e-9    # closed-ball shrink factor for strict constraints
     mc_boundary_band: float = 1e-6  # Monte Carlo boundary-trial counting band

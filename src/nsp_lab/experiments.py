@@ -354,8 +354,6 @@ def emit_plot_data(kind: str, out_path, seed: int = 0, **options) -> str:
         measure = options.get("measure", "l1")
         grid = options.get("grid", (10, 10))
         domain = options.get("domain", (2.0, 2.0))
-        if grid[0] < 2 or grid[1] < 2:
-            raise ValueError(f"grid must be at least 2x2, got {grid}")
         rmap = region_boundary_map(parse_measure(measure), grid=grid, domain=domain)
         rows = [
             (float(a), float(b), int(rmap.region_a[i, j]))

@@ -17,6 +17,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .config import TOL
+
 Array = np.ndarray
 
 __all__ = [
@@ -307,7 +309,7 @@ def check_measure_properties(
     domain_cap: float = 1e3,
     powers: Sequence[float] = (1.0,),
     seed: int = 0,
-    rel_tol: float = 1e-9,
+    rel_tol: float = TOL.property_rel,
 ) -> PropertyReport:
     """Probe subadditivity, monotonicity and F(t)/t**p monotonicity by sampling.
 

@@ -913,8 +913,8 @@ def region_boundary_map(
     if rows < 2 or cols < 2:
         raise ValueError(f"grid must be at least 2x2, got {grid}")
     a_max, b_max = domain
-    if a_max <= 0 or b_max <= 0:
-        raise ValueError(f"domain bounds must be positive, got {domain}")
+    if not (0 < a_max < math.inf and 0 < b_max < math.inf):
+        raise ValueError(f"domain bounds must be finite and positive, got {domain}")
 
     a_vals = np.linspace(0.0, a_max, rows)
     b_vals = np.linspace(0.0, b_max, cols)

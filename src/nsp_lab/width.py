@@ -308,8 +308,8 @@ def delta_margin(beta: float, gamma: float) -> float:
 
 def delta_positivity_threshold(beta: float) -> float:
     """The gamma above which delta(beta, gamma) is positive."""
-    if beta <= 1:
-        raise ValueError(f"need beta > 1, got {beta}")
+    if not 1 < beta < math.inf:
+        raise ValueError(f"need finite beta > 1, got {beta}")
     lnb = math.log(beta)
     ln_eb = 1.0 + lnb
     return 4.0 * (3.0 + 2.0 * lnb) * math.exp(math.log1p(2.0 * ln_eb) / (2.0 * ln_eb))
@@ -323,8 +323,8 @@ def oracle_robustness_constant(gamma: float) -> float:
 
 
 def _validate_growth(beta: float, gamma: float) -> None:
-    if not beta > gamma >= 1:
-        raise ValueError(f"need beta > gamma >= 1, got beta={beta}, gamma={gamma}")
+    if not math.inf > beta > gamma >= 1:
+        raise ValueError(f"need finite beta > gamma >= 1, got beta={beta}, gamma={gamma}")
 
 
 @dataclass

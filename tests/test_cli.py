@@ -125,6 +125,27 @@ class TestCommands:
         # flag wins over config: worst split of the half power is 1/2
         assert float(payload["theta"]) == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("command, flags", [
+        ("nsc", ["--matrix", "A", "--measure", "lp(p=0.5)", "--k", "1", "--seed", "2"]),
+        ("probe", ["--matrix", "A", "--measure", "exp_ce1", "--k", "1", "--d", "0.5",
+                   "--budget", "3000"]),
+        ("width", ["--measure", "l1", "--n", "4", "--k", "1", "--draws", "300", "--d", "0.1"]),
+        ("mc", ["--n", "4", "--m", "2", "--k", "1", "--trials", "20", "--d-grid", "0.001,0.05",
+                "--seed", "5", "--format", "json"]),
+        ("tradeoff", ["--beta", "100", "--gamma-sweep", "63:67:2"]),
+        ("ce1", ["--d-list", "0.1,0.01"]),
+    ])
+    def test_config_file_matches_flags(self, null_111_matrix, tmp_path, command, flags):
+        flags = [str(null_111_matrix) if f == "A" else f for f in flags]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key[2:].replace('-', '_')}={val}\n"
+                               for key, val in zip(flags[::2], flags[1::2])))
+        by_flags, by_file = tmp_path / "flags.out", tmp_path / "file.out"
+        assert main([command, *flags, "--out", str(by_flags)]) == 0
+        assert main([command, "--config", str(cfg), "--out", str(by_file)]) == 0
+        # the config hash included: it names the run, not the input path
+        assert by_file.read_bytes() == by_flags.read_bytes()
+
 
 class TestExitCodes:
     def test_usage_error_unknown_command(self):
@@ -194,6 +215,38 @@ class TestExitCodes:
 
     def test_suite_unknown_name_is_usage_error(self):
         assert main(["suite", "--name", "everything"]) == 2
+
+    @pytest.mark.parametrize("command, lines", [
+        ("nsc", "matrix={a}\nmeasure=l1\nk=1\nformat=xml\n"),
+        ("mc", "n=4\nm=2\nk=1\ntrials=2\ntrails=5\n"),
+        ("probe", "matrix={a}\nmeasure=l1\nk=1\nd=nan\n"),
+    ])
+    def test_bad_config_value_is_usage_error(self, null_111_matrix, tmp_path, capsys,
+                                             command, lines):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines.format(a=null_111_matrix))
+        out = tmp_path / "out.txt"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--beta", "inf", "--gamma", "2"],
+        ["--beta", "100", "--gamma-sweep", "62:inf:1"],
+    ])
+    def test_non_finite_tradeoff_is_usage_error(self, flags, capsys):
+        assert main(["tradeoff", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nsp-lab: error:") and err.count("\n") == 1
+        assert "finite" in err
+
+    @pytest.mark.parametrize("domain", ["nan,2", "inf,2"])
+    def test_non_finite_boundary_domain_is_usage_error(self, tmp_path, capsys, domain):
+        out = tmp_path / "region.dat"
+        assert main(["boundary", "--measure", "l1", "--grid", "3x3", "--domain", domain,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "finite" in capsys.readouterr().err
 
 
 class TestSuiteRuns:

@@ -349,6 +349,9 @@ class TestRegionMap:
             region_boundary_map(L1, grid=(1, 5))
         with pytest.raises(ValueError):
             region_boundary_map(L1, grid=(5, 5), domain=(0.0, 1.0))
+        for domain in ((math.nan, 2.0), (math.inf, 2.0), (2.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                region_boundary_map(L1, grid=(5, 5), domain=domain)
 
 
 # ---------------------------------------------------------------------------

@@ -363,3 +363,10 @@ class TestTradeoff:
             delta_margin(10.0, 0.5)
         with pytest.raises(ValueError):
             oracle_robustness_constant(1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                delta_margin(bad, 2.0)
+            with pytest.raises(ValueError, match="finite"):
+                delta_margin(100.0, bad)
+            with pytest.raises(ValueError, match="finite"):
+                delta_positivity_threshold(bad)
