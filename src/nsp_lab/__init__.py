@@ -18,7 +18,6 @@ from .measures import (
     builtin_measure,
     check_measure_properties,
     compare_measures,
-    eval_cost,
     parse_measure,
 )
 from .subspaces import (
@@ -28,9 +27,7 @@ from .subspaces import (
     grassmann_distance,
     null_space,
     perturb_subspace,
-    principal_angles,
     sample_haar,
-    singular_extremes,
 )
 from .nsp import (
     Ce1Membership,
@@ -81,7 +78,6 @@ from .experiments import (
     ExperimentConfig,
     MonteCarloSummary,
     WilsonInterval,
-    emit_plot_data,
     mc_probability,
     verify_counterexample1,
     wilson_interval,

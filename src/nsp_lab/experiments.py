@@ -1,5 +1,5 @@
-"""Experiment orchestration: Monte Carlo recovery probabilities, the explicit
-three-dimensional boundary instance, and plot-data emission.
+"""Experiment orchestration: Monte Carlo recovery probabilities and the
+explicit three-dimensional boundary instance.
 
 Every experiment is a pure function of (config, seed); per-trial generators
 are derived from the run seed and the trial index, so results are
@@ -24,7 +24,6 @@ from .nsp import (
     _golden_max,
     _rrc_from_scan,
     _validated_scan,
-    region_boundary_map,
 )
 # unused here; nspbench/tracer.py intercepts these two names on this module
 from .nsp import erc_member, rrc_probe  # noqa: F401
@@ -36,7 +35,6 @@ from .subspaces import (
     read_matrix_csv,
     sample_haar,
 )
-from .width import tradeoff
 
 Array = np.ndarray
 
@@ -49,7 +47,6 @@ __all__ = [
     "wilson_interval",
     "mc_probability",
     "verify_counterexample1",
-    "emit_plot_data",
     "config_hash",
 ]
 
@@ -111,9 +108,10 @@ class WilsonInterval:
         return (self.high - self.low) / 2.0
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> WilsonInterval:
+def wilson_interval(successes: int, trials: int) -> WilsonInterval:
     if trials < 1 or not 0 <= successes <= trials:
         raise ValueError(f"bad counts: {successes}/{trials}")
+    z = 1.959963984540054  # the two-sided 95% normal quantile
     p = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -135,10 +133,6 @@ class MonteCarloSummary:
     boundary_fraction: float
     failures: int
     rrc_sound: dict            # d -> WilsonInterval
-
-    @property
-    def p_erc(self) -> float:
-        return self.erc.p_hat
 
 
 def _trial_subspace(cfg: ExperimentConfig, rng, fixed: MeasurementMatrix | None):
@@ -262,18 +256,14 @@ class Ce1Report:
     passed: bool
 
 
-def verify_counterexample1(
-    d_list=(0.5, 0.1, 0.01, 0.001),
-    t_points: int = 100,
-    seed: int = 0,
-) -> Ce1Report:
+def verify_counterexample1(d_list=(0.5, 0.1, 0.01, 0.001)) -> Ce1Report:
     if not d_list or any(not 0 < d < 1 for d in d_list):
         raise ValueError(f"d values must lie in (0, 1), got {d_list}")
     measure = builtin_measure("exp_ce1")
     cost = CostFunction(measure, 3)
     generator = np.array([1.0, 1.0, 2.0])
 
-    t_grid = np.geomspace(1e-4, 10.0, t_points)
+    t_grid = np.geomspace(1e-4, 10.0, 100)
     f = measure.fn
     margins = 2.0 * f(t_grid) - f(2.0 * t_grid)
     closed = np.expm1(-t_grid) ** 2
@@ -322,75 +312,3 @@ def verify_counterexample1(
     passed = ok and bool((margins > 0).all())
     return Ce1Report(t_grid, margins, closed_err, float(margins.min()), entries, passed)
 
-
-# ---------------------------------------------------------------------------
-# Plot data
-# ---------------------------------------------------------------------------
-
-def _write_columns(path, kind, seed, meta: dict, header_cols, rows) -> None:
-    payload_hash = config_hash({"kind": kind, "seed": seed, **meta})
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# nsp-lab {kind}\n")
-        fh.write(f"# seed={seed} config={payload_hash}\n")
-        fh.write("# " + " ".join(header_cols) + "\n")
-        for row in rows:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
-def emit_plot_data(kind: str, out_path, seed: int = 0, **options) -> str:
-    """Write gnuplot-ready whitespace-delimited columns for one plot kind.
-
-    ``boundary_map`` needs measure/grid/domain, ``tradeoff_curve`` needs
-    beta and a gamma iterable, ``probability_vs_k`` needs n, m, k_max,
-    measure and trials.  Returns the path written.
-    """
-    if kind == "boundary_map":
-        measure = options.get("measure", "l1")
-        grid = options.get("grid", (10, 10))
-        domain = options.get("domain", (2.0, 2.0))
-        rmap = region_boundary_map(parse_measure(measure), grid=grid, domain=domain)
-        rows = [
-            (float(a), float(b), int(rmap.region_a[i, j]))
-            for i, a in enumerate(rmap.a_values)
-            for j, b in enumerate(rmap.b_values)
-        ]
-        _write_columns(out_path, kind, seed, {"measure": measure, "grid": grid, "domain": domain},
-                       ("a", "b", "in_region_a"), rows)
-        return str(out_path)
-
-    if kind == "tradeoff_curve":
-        beta = float(options["beta"])
-        gammas = options["gammas"]
-        rows = []
-        for g in gammas:
-            pt = tradeoff(beta, float(g))
-            rows.append((pt.gamma, pt.delta,
-                         pt.C if pt.C is not None else math.nan,
-                         pt.oracle_constant if pt.oracle_constant is not None else math.nan))
-        _write_columns(out_path, kind, seed, {"beta": beta, "gammas": list(map(float, gammas))},
-                       ("gamma", "delta", "C", "oracle_C"), rows)
-        return str(out_path)
-
-    if kind == "probability_vs_k":
-        n, m = int(options["n"]), int(options["m"])
-        k_max = int(options.get("k_max", m))
-        measure = options.get("measure", "l1")
-        trials = int(options.get("trials", 200))
-        rows = []
-        for k in range(0, k_max + 1):
-            cfg = ExperimentConfig(n=n, m=m, k=k, measure=measure, trials=trials,
-                                   d_grid=(1e-3,), seed=seed)
-            summary = mc_probability(cfg)
-            rows.append((k, summary.erc.p_hat, summary.erc.low, summary.erc.high))
-        _write_columns(out_path, kind, seed,
-                       {"n": n, "m": m, "k_max": k_max, "measure": measure, "trials": trials},
-                       ("k", "p_erc", "ci_low", "ci_high"), rows)
-        return str(out_path)
-
-    raise ValueError(f"unknown plot kind {kind!r}")

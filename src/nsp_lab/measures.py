@@ -30,7 +30,6 @@ __all__ = [
     "LimitEstimate",
     "builtin_measure",
     "parse_measure",
-    "eval_cost",
     "check_measure_properties",
     "compare_measures",
     "BUILTIN_MEASURES",
@@ -98,23 +97,13 @@ class CostFunction:
             )
         return arr
 
-    def per_coordinate(self, x) -> Array:
-        """The vector (F(|x_1|), ..., F(|x_n|))."""
-        return self.measure.fn(np.abs(self._check_vector(x)))
-
     def value(self, x, support: Iterable[int] | None = None) -> float:
-        f = self.per_coordinate(x)
+        """Cost of ``x``, restricted to ``support`` (0-based indices) if given."""
+        f = self.measure.fn(np.abs(self._check_vector(x)))
         if support is None:
             return float(f.sum())
         idx = _validate_support(support, self.dimension)
         return float(f[idx].sum())
-
-    __call__ = value
-
-
-def eval_cost(cost: CostFunction, x, support: Iterable[int] | None = None) -> float:
-    """Cost of ``x``, restricted to ``support`` (0-based indices) if given."""
-    return cost.value(x, support)
 
 
 def _validate_support(support: Iterable[int], n: int) -> np.ndarray:
@@ -201,7 +190,17 @@ def _make_scad(lam: float, a: float) -> SparsenessMeasure:
     )
 
 
-BUILTIN_MEASURES = ("l0", "l1", "lp", "exp_ce1", "mcp_zap", "scad")
+# name -> (factory, parameter defaults); a parameter whose default is None
+# is required.  Factories take the parameters as keywords.
+_BUILTINS = {
+    "l0": (_make_l0, {}),
+    "l1": (lambda: _make_lp(1.0), {}),
+    "lp": (_make_lp, {"p": None}),
+    "exp_ce1": (_make_exp_ce1, {}),
+    "mcp_zap": (_make_mcp_zap, {"alpha": None}),
+    "scad": (_make_scad, {"lam": 1.0, "a": 3.7}),
+}
+BUILTIN_MEASURES = tuple(_BUILTINS)
 
 
 def builtin_measure(name: str, params: dict | None = None, **kw) -> SparsenessMeasure:
@@ -213,33 +212,14 @@ def builtin_measure(name: str, params: dict | None = None, **kw) -> SparsenessMe
     penalty 2*alpha*t - (alpha*t)**2 capped at 1, and ``scad`` is the usual
     two-knee concave penalty with parameters (lam, a).
     """
-    opts = dict(params or {})
-    opts.update(kw)
-    if name == "l0":
-        if opts:
-            raise ValueError("l0 takes no parameters")
-        return _make_l0()
-    if name == "l1":
-        if opts:
-            raise ValueError("l1 takes no parameters")
-        return _make_lp(1.0)
-    if name == "lp":
-        if set(opts) != {"p"}:
-            raise ValueError("lp requires exactly the parameter p")
-        return _make_lp(float(opts["p"]))
-    if name == "exp_ce1":
-        if opts:
-            raise ValueError("exp_ce1 takes no parameters")
-        return _make_exp_ce1()
-    if name == "mcp_zap":
-        if set(opts) != {"alpha"}:
-            raise ValueError("mcp_zap requires exactly the parameter alpha")
-        return _make_mcp_zap(float(opts["alpha"]))
-    if name == "scad":
-        if not set(opts) <= {"lam", "a"}:
-            raise ValueError("scad takes parameters lam and a")
-        return _make_scad(float(opts.get("lam", 1.0)), float(opts.get("a", 3.7)))
-    raise ValueError(f"unknown measure {name!r}; known: {', '.join(BUILTIN_MEASURES)}")
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown measure {name!r}; known: {', '.join(BUILTIN_MEASURES)}")
+    factory, defaults = _BUILTINS[name]
+    opts = {**(params or {}), **kw}
+    if set(opts) - set(defaults) or any(v is None and k not in opts for k, v in defaults.items()):
+        accepted = ", ".join(k if v is None else f"{k}={v:g}" for k, v in defaults.items())
+        raise ValueError(f"{name} takes parameters ({accepted}), got ({', '.join(opts)})")
+    return factory(**{k: float(opts.get(k, v)) for k, v in defaults.items()})
 
 
 _MEASURE_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*$")
@@ -309,7 +289,6 @@ def check_measure_properties(
     domain_cap: float = 1e3,
     powers: Sequence[float] = (1.0,),
     seed: int = 0,
-    rel_tol: float = TOL.property_rel,
 ) -> PropertyReport:
     """Probe subadditivity, monotonicity and F(t)/t**p monotonicity by sampling.
 
@@ -328,7 +307,7 @@ def check_measure_properties(
 
     report = PropertyReport(measure.name, sample_budget, domain_cap, inconclusive=False)
 
-    slack = rel_tol * np.maximum(1.0, np.abs(fxy))
+    slack = TOL.property_rel * np.maximum(1.0, np.abs(fxy))
     excess = fxy - (fx + fy) - slack
     bad = excess > 0
     report.subadditivity_violations = int(bad.sum())
@@ -339,7 +318,7 @@ def check_measure_properties(
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
     flo, fhi = measure.fn(lo), measure.fn(hi)
-    mono_excess = flo - fhi - rel_tol * np.maximum(1.0, np.abs(flo))
+    mono_excess = flo - fhi - TOL.property_rel * np.maximum(1.0, np.abs(flo))
     bad = mono_excess > 0
     report.monotonicity_violations = int(bad.sum())
     if bad.any():
@@ -352,7 +331,7 @@ def check_measure_properties(
         # exceed the value at the smaller one.
         rlo = flo[pos] / lo[pos] ** p
         rhi = fhi[pos] / hi[pos] ** p
-        r_excess = rhi - rlo - rel_tol * np.maximum(1.0, np.abs(rlo))
+        r_excess = rhi - rlo - TOL.property_rel * np.maximum(1.0, np.abs(rlo))
         strict = (hi[pos] > lo[pos]) & (r_excess > 0)
         report.ratio_violations[float(p)] = int(strict.sum())
         if strict.any():
@@ -442,23 +421,14 @@ def _limit_at_inf(measure: SparsenessMeasure, p: float) -> LimitEstimate:
     return _limit_from_sequence(np.asarray(vals))
 
 
-def compare_measures(
-    f: SparsenessMeasure,
-    g: SparsenessMeasure,
-    sample_budget: int = 20_000,
-    power: float | None = None,
-    seed: int = 0,
-    domain_cap: float = 1e3,
-) -> ComparisonReport:
+def compare_measures(f: SparsenessMeasure, g: SparsenessMeasure) -> ComparisonReport:
     """Test comparison rules between two measures on geometric grids.
 
-    ``power`` defaults to the homogeneity degree of ``g`` when it is a power
-    law, which is the case the limit rules apply to.
+    The ratio F/G is checked on 4096 points of [1e-8, 1e3].  The limit rules
+    apply when ``g`` is a power law, and use its homogeneity degree.
     """
-    if power is None:
-        power = g.homogeneity_degree
-
-    grid = np.geomspace(1e-8, domain_cap, num=max(64, min(sample_budget, 4096)))
+    power = g.homogeneity_degree
+    grid = np.geomspace(1e-8, 1e3, num=4096)
     with np.errstate(all="ignore"):
         ratio = f.fn(grid) / g.fn(grid)
     ok = np.isfinite(ratio)

@@ -860,14 +860,15 @@ class Ce1Membership:
         return self.verdict != "outside"
 
 
-def ce1_membership(sub: Subspace, tol: float = 1e-12) -> Ce1Membership:
+def ce1_membership(sub: Subspace) -> Ce1Membership:
+    """Classify a line in R^3; a margin within 1e-12 of zero is ``boundary``."""
     if sub.ambient_dim != 3 or sub.dim != 1:
         raise ValueError("classifier applies to lines in R^3 only")
     g = np.abs(sub.basis[:, 0])
     margin = float(g.sum() - 2.0 * g.max())
-    if margin > tol:
+    if margin > 1e-12:
         verdict = "interior"
-    elif margin < -tol:
+    elif margin < -1e-12:
         verdict = "outside"
     else:
         verdict = "boundary"

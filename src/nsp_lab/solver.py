@@ -544,14 +544,13 @@ def adversarial_pair(
     k: int,
     d: float,
     witness: Violation | None = None,
-    probe_budget: int = 200_000,
     seed: int = 0,
 ) -> AdversarialPair:
     """Construct the pair from a violation witness, probing for one if needed."""
     if not 0 < d < 1:
         raise ValueError(f"need 0 < d < 1, got {d}")
     if witness is None:
-        probe = rrc_probe(null_space(a), cost, k, d, budget=probe_budget, seed=seed)
+        probe = rrc_probe(null_space(a), cost, k, d, seed=seed)
         if not probe.violated:
             raise ValueError("no perturbed-inequality violation found at this radius")
         witness = probe.violation

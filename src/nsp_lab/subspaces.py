@@ -25,11 +25,9 @@ __all__ = [
     "Subspace",
     "MeasurementMatrix",
     "grassmann_distance",
-    "principal_angles",
     "sample_haar",
     "null_space",
     "perturb_subspace",
-    "singular_extremes",
     "gaussian_measurement",
     "as_rng",
     "write_matrix_csv",
@@ -105,18 +103,10 @@ class Subspace:
         z = np.asarray(z, dtype=float)
         return float(np.linalg.norm(z - self.basis @ (self.basis.T @ z)))
 
-    def contains(self, z, tol: float | None = None) -> bool:
-        tol = TOL.membership if tol is None else tol
+    def contains(self, z) -> bool:
         z = np.asarray(z, dtype=float)
         scale = max(np.linalg.norm(z), 1e-300)
-        return self.membership_residual(z) <= tol * scale
-
-
-def principal_angles(a: Subspace, b: Subspace) -> Array:
-    """Principal angles between two subspaces of equal dimension, ascending."""
-    _check_comparable(a, b)
-    sigma = np.linalg.svd(a.basis.T @ b.basis, compute_uv=False)
-    return np.arccos(np.clip(np.sort(sigma)[::-1], -1.0, 1.0))
+        return self.membership_residual(z) <= TOL.membership * scale
 
 
 def _check_comparable(a: Subspace, b: Subspace) -> None:
@@ -263,11 +253,6 @@ class MeasurementMatrix:
 def null_space(a: MeasurementMatrix) -> Subspace:
     """Orthonormal basis of {z : Az = 0}, dimension n - m."""
     return a.nullspace
-
-
-def singular_extremes(a: MeasurementMatrix) -> tuple[float, float]:
-    """Smallest and largest singular values of the transpose of A."""
-    return a.sigma_min, a.sigma_max
 
 
 def gaussian_measurement(m: int, n: int, rng=0) -> MeasurementMatrix:

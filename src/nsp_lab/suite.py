@@ -18,7 +18,7 @@ import numpy as np
 
 from .experiments import ExperimentConfig, mc_probability, verify_counterexample1
 from .measures import CostFunction, builtin_measure
-from .nsp import ce1_membership, nsc, nsp_check, region_boundary_map, rrc_probe
+from .nsp import ce1_membership, nsc, nsp_check, region_boundary_map, robustness_constant, rrc_probe
 from .solver import adversarial_pair, empirical_robustness
 from .subspaces import gaussian_measurement, null_space, perturb_subspace, sample_haar, grassmann_distance
 from .width import chi_mean, delta_positivity_threshold, omega_hat_bound, width_extended, width_mc, zeta
@@ -86,7 +86,7 @@ def _measure(name, overrides, **params):
 def criterion_counterexample(seed, overrides):
     """Strict margins plus a perturbation violation at every tested radius."""
     t0 = time.perf_counter()
-    report = verify_counterexample1(d_list=(0.5, 0.1, 0.01, 0.001), t_points=100, seed=seed)
+    report = verify_counterexample1(d_list=(0.5, 0.1, 0.01, 0.001))
     runtime = time.perf_counter() - t0
     deficits_ok = all(e.found and e.deficit > 1e-12 for e in report.entries)
     passed = (
@@ -303,7 +303,7 @@ def criterion_robustness_bounds(seed, overrides):
     worst_ratio_margin = math.inf
     bound_ok = True
     for a, cost in passes:
-        cap = 2.0 * (1.0 + d) / (d * a.sigma_min)
+        cap = robustness_constant(d, a.sigma_min)
         sweep = empirical_robustness(a, cost, k=1, trials=2, epsilon_grid=(1e-1, 1e-2, 1e-3),
                                      seed=seed, starts=16, iters=150)
         worst = max(sweep.max_ratio.values())

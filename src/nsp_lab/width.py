@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import CostFunction
-from .nsp import _check_support_budget, _topk_total
+from .nsp import _check_support_budget, _topk_total, robustness_constant
 from .subspaces import as_rng
 
 Array = np.ndarray
@@ -60,10 +60,6 @@ class WidthEstimate:
 def chi_mean(n: int) -> float:
     """E ||g|| for an n-dimensional standard Gaussian vector."""
     return math.sqrt(2.0) * math.exp(math.lgamma((n + 1) / 2) - math.lgamma(n / 2))
-
-
-def _gaussian_draws(n: int, draws: int, seed) -> Array:
-    return as_rng(seed).standard_normal((n, draws))
 
 
 def _sup_l1(g_abs: Array, k: int) -> Array:
@@ -156,31 +152,31 @@ def _sup_generic(g: Array, measure, k: int, scales: Array) -> Array:
     return out
 
 
-def _per_draw_sup(cost: CostFunction, k: int, g: Array):
-    """(sup values, inner search label, is_lower_bound) for one batch."""
-    n = cost.dimension
-    measure = cost.measure
+def _draw_sups(cost: CostFunction, k: int, draws: int, seed):
+    """(g, per-draw sup, inner search label, is_lower_bound) for ``draws``
+    Gaussian draws at ``seed``: the sample both width estimates share."""
+    n, measure = cost.dimension, cost.measure
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    g = as_rng(seed).standard_normal((n, draws))
     if not measure.continuous:
         raise ValueError(f"width estimation requires a continuous measure, got {measure.name}")
-    if k >= n:
-        return np.linalg.norm(g, axis=0), "whole_sphere", False
+    if k == n:
+        return g, np.linalg.norm(g, axis=0), "whole_sphere", False
     if measure.homogeneity_degree == 1.0:
-        return _sup_l1(np.abs(g), k), "support_projection", False
+        return g, _sup_l1(np.abs(g), k), "support_projection", False
     if measure.is_homogeneous:
         scales = np.array([1.0])
     else:
         scales = np.geomspace(1e-6, 1e6, _WIDTH_SCALE_POINTS)
-    return _sup_generic(g, measure, k, scales), "multistart", True
+    return g, _sup_generic(g, measure, k, scales), "multistart", True
 
 
 def width_mc(cost: CostFunction, k: int, draws: int = 10_000, seed: int = 0) -> WidthEstimate:
     """Monte Carlo Gaussian width of the sparsity-k failure section."""
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    if not 1 <= k <= cost.dimension:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={cost.dimension}")
-    g = _gaussian_draws(cost.dimension, draws, seed)
-    sup, label, lower = _per_draw_sup(cost, k, g)
+    _, sup, label, lower = _draw_sups(cost, k, draws, seed)
     se = float(sup.std(ddof=1) / math.sqrt(draws)) if draws > 1 else math.inf
     return WidthEstimate(float(sup.mean()), se, draws, label, lower)
 
@@ -203,10 +199,7 @@ def width_extended(
     """
     if not (math.isfinite(d) and d >= 0):
         raise ValueError(f"need finite d >= 0, got {d}")
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
-    g = _gaussian_draws(cost.dimension, draws, seed)
-    sup, label, lower = _per_draw_sup(cost, k, g)
+    g, sup, label, lower = _draw_sups(cost, k, draws, seed)
     norms = np.linalg.norm(g, axis=0)
     theta = np.arccos(np.clip(sup / norms, -1.0, 1.0))
     alpha = math.asin(min(d, 1.0))
@@ -353,9 +346,7 @@ def tradeoff(beta: float, gamma: float) -> TradeoffPoint:
     support-aware constant, for gamma > 1.
     """
     delta = delta_margin(beta, gamma)
-    c_val = None
-    if delta > 0:
-        c_val = 2.0 * (1.0 + delta) / (delta * (1.0 - math.sqrt(gamma / beta)))
+    c_val = robustness_constant(delta, 1.0 - math.sqrt(gamma / beta)) if delta > 0 else None
     n = int(math.floor(beta * TRADEOFF_K_REF))
     m = int(math.ceil(gamma * TRADEOFF_K_REF))
     d = TRADEOFF_D_FRACTION * max(delta, 0.0)

@@ -108,6 +108,18 @@ class TestCommands:
         assert lines[0].startswith("# nsp-lab boundary_map")
         assert len([ln for ln in lines if not ln.startswith("#")]) == 64
 
+    def test_boundary_l1_staircase(self, tmp_path):
+        # F(x) + F(y) <= F(a x + b y) is satisfiable for l1 iff a >= 1 or b >= 1
+        out = tmp_path / "region.dat"
+        assert main(["boundary", "--measure", "l1", "--grid", "10x10", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "# nsp-lab boundary_map"
+        assert lines[1].startswith("# seed=0 config=")
+        rows = [ln.split() for ln in lines if not ln.startswith("#")]
+        assert len(rows) == 100
+        for a_s, b_s, flag in rows:
+            assert int(flag) == int(float(a_s) >= 1.0 or float(b_s) >= 1.0)
+
     def test_ce1(self, tmp_path):
         out = tmp_path / "ce1.json"
         code = main(["ce1", "--d-list", "0.1,0.01", "--out", str(out)])
@@ -158,6 +170,18 @@ class TestExitCodes:
     def test_usage_error_bad_measure(self, null_111_matrix):
         assert main(["nsc", "--matrix", str(null_111_matrix), "--measure", "zap!",
                      "--k", "1"]) == 2
+
+    @pytest.mark.parametrize("spec", ["l1(p=2)", "lp", "lp(q=1)", "mcp_zap", "scad(b=1)",
+                                      "l0(x=1)", "exp_ce1(a=1)", "foo"])
+    def test_bad_measure_parameters_are_usage_errors(self, null_111_matrix, spec, capsys):
+        assert main(["nsc", "--matrix", str(null_111_matrix), "--measure", spec,
+                     "--k", "1"]) == 2
+        assert capsys.readouterr().err.startswith("nsp-lab: error: ")
+
+    def test_boundary_grid_too_small_is_usage_error(self, tmp_path):
+        out = tmp_path / "region.dat"
+        assert main(["boundary", "--measure", "l1", "--grid", "1x1", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_non_finite_radius_is_usage_error(self, capsys):
         assert main(["mc", "--n", "4", "--m", "2", "--k", "1", "--trials", "2",

@@ -7,7 +7,6 @@ from nsp_lab import experiments, nsp
 from nsp_lab.experiments import (
     ExperimentConfig,
     config_hash,
-    emit_plot_data,
     mc_probability,
     verify_counterexample1,
     wilson_interval,
@@ -97,6 +96,11 @@ class TestMonteCarlo:
         assert summary.erc.p_hat == 1.0
         assert summary.rrc[1e-3].p_hat == 1.0
         assert summary.rrc_sound[1e-3].p_hat == 1.0   # gamma = 0: radius >= 1/sqrt(n)
+
+    def test_zero_sparsity_small_shape(self):
+        # the k = 0 row of a P(ERC)-against-k sweep
+        summary = mc_probability(ExperimentConfig(n=4, m=2, k=0, trials=30))
+        assert summary.erc.p_hat == 1.0
 
     def test_haar_source(self):
         cfg = ExperimentConfig(n=4, m=2, k=1, trials=50, seed=7,
@@ -212,40 +216,3 @@ class TestCounterexampleReport:
         with pytest.raises(ValueError):
             verify_counterexample1(d_list=(1.5,))
 
-
-class TestPlotData:
-    def test_boundary_map_staircase(self, tmp_path):
-        path = tmp_path / "region.dat"
-        emit_plot_data("boundary_map", path, seed=0, measure="l1",
-                       grid=(10, 10), domain=(2.0, 2.0))
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# nsp-lab boundary_map")
-        assert "seed=0" in lines[1] and "config=" in lines[1]
-        rows = [ln.split() for ln in lines if not ln.startswith("#")]
-        assert len(rows) == 100
-        for a_s, b_s, flag in rows:
-            a, b = float(a_s), float(b_s)
-            assert int(flag) == int(a >= 1.0 or b >= 1.0)
-
-    def test_tradeoff_curve_columns(self, tmp_path):
-        path = tmp_path / "tradeoff.dat"
-        emit_plot_data("tradeoff_curve", path, seed=0, beta=100.0,
-                       gammas=np.arange(63.0, 80.0, 2.0))
-        rows = [ln.split() for ln in path.read_text().splitlines() if not ln.startswith("#")]
-        cs = [float(r[2]) for r in rows]
-        assert all(a > b for a, b in zip(cs, cs[1:]))
-
-    def test_probability_vs_k(self, tmp_path):
-        path = tmp_path / "prob.dat"
-        emit_plot_data("probability_vs_k", path, seed=0, n=4, m=2, k_max=1, trials=30)
-        rows = [ln.split() for ln in path.read_text().splitlines() if not ln.startswith("#")]
-        assert len(rows) == 2
-        assert float(rows[0][1]) == 1.0   # k = 0 always recovers
-
-    def test_empty_grid_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_plot_data("boundary_map", tmp_path / "x.dat", grid=(1, 1))
-
-    def test_unknown_kind(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_plot_data("surface", tmp_path / "x.dat")

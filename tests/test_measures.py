@@ -9,7 +9,6 @@ from nsp_lab.measures import (
     builtin_measure,
     check_measure_properties,
     compare_measures,
-    eval_cost,
     parse_measure,
 )
 
@@ -30,7 +29,7 @@ class TestBuiltins:
 
     def test_l0_counts_nonzeros(self):
         cost = CostFunction(builtin_measure("l0"), 3)
-        assert eval_cost(cost, [0.0, 5.0, -3.0]) == 2.0
+        assert cost.value([0.0, 5.0, -3.0]) == 2.0
 
     def test_mcp_saturates_at_one(self):
         m = builtin_measure("mcp_zap", alpha=2.0)
@@ -106,22 +105,22 @@ class TestParse:
 class TestCost:
     def test_l1_full_sum(self):
         cost = CostFunction(builtin_measure("l1"), 3)
-        assert eval_cost(cost, [1.0, 1.0, 2.0]) == 4.0
+        assert cost.value([1.0, 1.0, 2.0]) == 4.0
 
     def test_zero_vector(self):
         for m in CONTINUOUS_BUILTINS:
             cost = CostFunction(m, 4)
-            assert eval_cost(cost, np.zeros(4)) == 0.0
+            assert cost.value(np.zeros(4)) == 0.0
 
     def test_exp_scalar(self):
         cost = CostFunction(builtin_measure("exp_ce1"), 1)
-        assert eval_cost(cost, [1.0]) == pytest.approx(1.6321205588285577, abs=1e-14)
+        assert cost.value([1.0]) == pytest.approx(1.6321205588285577, abs=1e-14)
 
     def test_support_restriction(self):
         cost = CostFunction(builtin_measure("l1"), 4)
         x = [1.0, -2.0, 3.0, -4.0]
-        assert eval_cost(cost, x, support=[1, 3]) == 6.0
-        assert eval_cost(cost, x, support=[]) == 0.0
+        assert cost.value(x, support=[1, 3]) == 6.0
+        assert cost.value(x, support=[]) == 0.0
 
     def test_symmetry_under_signs_and_permutations(self):
         rng = np.random.default_rng(4)
@@ -129,19 +128,19 @@ class TestCost:
             cost = CostFunction(m, 5)
             x = rng.standard_normal(5)
             flipped = x * rng.choice([-1.0, 1.0], size=5)
-            assert cost(np.abs(x)) == pytest.approx(cost(x), rel=1e-15)
-            assert cost(flipped) == pytest.approx(cost(x), rel=1e-15)
-            assert cost(rng.permutation(x)) == pytest.approx(cost(x), rel=1e-12)
+            assert cost.value(np.abs(x)) == pytest.approx(cost.value(x), rel=1e-15)
+            assert cost.value(flipped) == pytest.approx(cost.value(x), rel=1e-15)
+            assert cost.value(rng.permutation(x)) == pytest.approx(cost.value(x), rel=1e-12)
 
     def test_dimension_mismatch(self):
         cost = CostFunction(builtin_measure("l1"), 3)
         with pytest.raises(ValueError):
-            eval_cost(cost, [1.0, 2.0])
+            cost.value([1.0, 2.0])
 
     def test_support_out_of_range(self):
         cost = CostFunction(builtin_measure("l1"), 3)
         with pytest.raises(IndexError):
-            eval_cost(cost, [1.0, 2.0, 3.0], support=[3])
+            cost.value([1.0, 2.0, 3.0], support=[3])
 
 
 class TestPropertyChecks:
@@ -195,11 +194,11 @@ class TestPropertyChecks:
             cost = CostFunction(m, 4)
             for _ in range(50):
                 x, y, z = rng.standard_normal((3, 4)) * 3.0
-                dxy = cost(x - y)
+                dxy = cost.value(x - y)
                 assert dxy >= 0
-                assert cost(x - y) == pytest.approx(cost(y - x), rel=1e-12)
-                assert cost(x - z) <= cost(x - y) + cost(y - z) + 1e-9
-            assert cost(np.zeros(4)) == 0.0
+                assert cost.value(x - y) == pytest.approx(cost.value(y - x), rel=1e-12)
+                assert cost.value(x - z) <= cost.value(x - y) + cost.value(y - z) + 1e-9
+            assert cost.value(np.zeros(4)) == 0.0
 
     def test_continuity_under_grid_refinement(self):
         # max jump over adjacent grid points shrinks as the grid refines,

@@ -11,10 +11,8 @@ from nsp_lab.subspaces import (
     grassmann_distance,
     null_space,
     perturb_subspace,
-    principal_angles,
     read_matrix_csv,
     sample_haar,
-    singular_extremes,
     write_matrix_csv,
 )
 
@@ -100,10 +98,6 @@ class TestDistance:
         with pytest.raises(ValueError):
             grassmann_distance(sample_haar(4, 1, 0), sample_haar(4, 2, 0))
 
-    def test_principal_angles_identity(self):
-        sub = sample_haar(5, 2, 3)
-        assert np.allclose(principal_angles(sub, sub), 0.0, atol=1e-7)
-
 
 class TestHaarSampling:
     def test_seeded_determinism(self):
@@ -181,17 +175,17 @@ class TestNullSpace:
 class TestSingularExtremes:
     def test_padded_identity(self):
         a = MeasurementMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        assert singular_extremes(a) == (1.0, 1.0)
+        assert (a.sigma_min, a.sigma_max) == (1.0, 1.0)
 
     def test_diagonal_block(self):
         a = MeasurementMatrix(np.array([[2.0, 0, 0, 0], [0, 3.0, 0, 0]]))
-        smin, smax = singular_extremes(a)
+        smin, smax = a.sigma_min, a.sigma_max
         assert (smin, smax) == pytest.approx((2.0, 3.0))
 
     def test_matches_transpose_svd(self):
         a = gaussian_measurement(3, 6, 11)
         svals = np.linalg.svd(a.entries.T, compute_uv=False)
-        assert singular_extremes(a) == pytest.approx((svals[-1], svals[0]), rel=1e-12)
+        assert (a.sigma_min, a.sigma_max) == pytest.approx((svals[-1], svals[0]), rel=1e-12)
 
     @pytest.mark.slow
     def test_linear_growth_asymptotics(self):
@@ -200,7 +194,7 @@ class TestSingularExtremes:
         k, beta, gamma = 200, 40.0, 20.0
         n, m = int(beta * k), int(math.ceil(gamma * k))
         a = gaussian_measurement(m, n, 123)
-        smin, _ = singular_extremes(a)
+        smin = a.sigma_min
         target = 1.0 - math.sqrt(gamma / beta)
         assert abs(smin - target) / target < 0.05
 

@@ -229,6 +229,15 @@ class TestWidthExtended:
         full = width_mc(l1_cost(4), 4, draws=3000, seed=8)
         assert ext.mean == pytest.approx(full.mean, abs=1e-12)
 
+    @pytest.mark.parametrize("spec", ["l1", "lp(p=0.5)"])
+    @pytest.mark.parametrize("k, draws", [(0, 10), (-1, 10), (7, 10), (1, 0)])
+    def test_shares_the_sparsity_and_draw_checks(self, spec, k, draws):
+        cost = CostFunction(parse_measure(spec), 6)
+        with pytest.raises(ValueError):
+            width_mc(cost, k, draws=draws)
+        with pytest.raises(ValueError):
+            width_extended(cost, k, 0.1, draws=draws)
+
 
 def decimal_zeta(n, k):
     getcontext().prec = 60
