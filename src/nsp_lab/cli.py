@@ -11,7 +11,7 @@ from.  Exit codes: 0 success, 1 criterion failure, 2 usage error.
 Outputs are deterministic for a fixed config and seed: floats are printed
 with 17 significant digits, JSON keys are sorted, and no timestamps are
 embedded (the suite bundle, which records runtimes, is the documented
-exception).
+exception).  JSON output is strict: inf and nan are written as null.
 """
 
 from __future__ import annotations
@@ -52,12 +52,24 @@ def _jsonable(v):
     return v
 
 
+def _null_if_not_finite(v):
+    """JSON has no token for inf or nan: they are written as null."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    if isinstance(v, list):
+        return [_null_if_not_finite(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _null_if_not_finite(x) for k, x in v.items()}
+    return v
+
+
 def _emit(rows, fmt, out):
-    """Serialize a list of flat dicts as CSV (header + rows) or JSON."""
+    """Serialize a list of flat dicts as CSV (header + rows) or strict JSON."""
     rows = [{k: _jsonable(v) for k, v in row.items()} for row in rows]
     if fmt == "json":
+        rows = _null_if_not_finite(rows)
         text = json.dumps(rows if len(rows) != 1 else rows[0], sort_keys=True, indent=2,
-                          default=_fmt) + "\n"
+                          default=_fmt, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -29,6 +29,13 @@ SCALE_GRID_LO = 1e-6
 SCALE_GRID_HI = 1e6
 SCALE_GRID_POINTS = 61
 
+# Penalty values per batched evaluation, which sets how many directions,
+# subspaces or draws one batch holds.  16384 float64 values are 128 KiB,
+# glibc malloc's default threshold for serving an allocation from fresh
+# mmapped pages: a larger temporary is faulted in page by page on every
+# call, which costs more than the batch saves in numpy's per-call overhead.
+ELEMENT_BUDGET = 16384
+
 # The one cap on explicit support enumeration; larger instances must supply
 # their own support sampler rather than silently degrade.  Certificates and
 # the generic (non-l1) widths count the C(n, k) supports of size k; the l1

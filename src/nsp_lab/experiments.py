@@ -20,16 +20,19 @@ from .config import TOL
 from .measures import CostFunction, builtin_measure, parse_measure
 from .nsp import (
     Violation,
+    _check_problem,
     _erc_from_scan,
     _golden_max,
+    _lockstep_block,
     _rrc_from_scan,
-    _validated_scan,
+    _scan_subspaces,
 )
 # unused here; nspbench/tracer.py intercepts these two names on this module
 from .nsp import erc_member, rrc_probe  # noqa: F401
 from .solver import adversarial_pair
 from .subspaces import (
     MeasurementMatrix,
+    as_rng,
     gaussian_measurement,
     null_space,
     read_matrix_csv,
@@ -117,7 +120,11 @@ def wilson_interval(successes: int, trials: int) -> WilsonInterval:
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
-    return WilsonInterval(successes, trials, p, max(0.0, center - half), min(1.0, center + half))
+    # at 0 and at all successes an endpoint is 0 or 1 exactly, which
+    # center -/+ half reaches only up to rounding
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == trials else min(1.0, center + half)
+    return WilsonInterval(successes, trials, p, low, high)
 
 
 @dataclass
@@ -144,26 +151,60 @@ def _trial_subspace(cfg: ExperimentConfig, rng, fixed: MeasurementMatrix | None)
 
 
 def _run_trials(cfg: ExperimentConfig, indices) -> list:
+    """One row per trial: (valid, member, margin, probe outcome per radius).
+
+    Every trial's null space is drawn first; the scans then run a block of
+    trials at a time (:func:`nsp._scan_subspaces`), and each trial is
+    decided from its own scan.  A block whose scan raises is scanned again
+    one trial at a time, so a failing trial fails alone.
+    """
     cost = CostFunction(parse_measure(cfg.measure), cfg.n)
     fixed = None
     if cfg.matrix_source == "file":
         fixed = MeasurementMatrix(read_matrix_csv(cfg.matrix_file))
-    out = []
-    for idx in indices:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, int(idx)]))
+    failed = (False, False, math.nan, ["violated"] * len(cfg.d_grid))
+    out = [failed] * len(indices)
+
+    def guarded(step, *args):
         try:
-            sub = _trial_subspace(cfg, rng, fixed)
-            # one scan answers both questions, so the robust verdicts are
-            # drawn from the same candidates as the exact-recovery verdict
-            scan = _validated_scan(sub, cost, cfg.k, int(rng.integers(2**32)))
-            verdict = _erc_from_scan(sub, cost, cfg.k, scan)
-            outcomes = [_rrc_from_scan(sub, cost, cfg.k, d, cfg.probe_budget, scan).outcome
-                        for d in cfg.d_grid]
-            out.append((True, verdict.member, verdict.margin, outcomes))
+            return step(*args)
         except (TypeError, AttributeError, AssertionError):
             raise           # programming errors, not certificate failures
         except Exception:   # certificate failures are counted, never silent
-            out.append((False, False, math.nan, ["violated"] * len(cfg.d_grid)))
+            return None
+
+    def draw(idx):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, int(idx)]))
+        sub = _trial_subspace(cfg, rng, fixed)
+        seed = int(rng.integers(2**32))
+        _check_problem(sub, cost, cfg.k)
+        return sub, seed
+
+    def decide(sub, seed, scan):
+        if scan is None:
+            scan = _scan_subspaces([sub], cost.measure, cfg.k, [as_rng(seed)])[0]
+        # one scan answers both questions, so the robust verdicts are
+        # drawn from the same candidates as the exact-recovery verdict
+        verdict = _erc_from_scan(sub, cost, cfg.k, scan)
+        outcomes = [_rrc_from_scan(sub, cost, cfg.k, d, cfg.probe_budget, scan).outcome
+                    for d in cfg.d_grid]
+        return True, verdict.member, verdict.margin, outcomes
+
+    drawn = []
+    for j, idx in enumerate(indices):
+        trial = guarded(draw, idx)
+        if trial is not None:
+            drawn.append((j, *trial))
+    block = _lockstep_block(cost.measure, cfg.n, cfg.n - cfg.m)
+    for start in range(0, len(drawn), block):
+        trials = drawn[start:start + block]
+        try:
+            scans = _scan_subspaces([sub for _, sub, _ in trials], cost.measure, cfg.k,
+                                    [as_rng(seed) for *_, seed in trials])
+        except Exception:   # scanned again one trial at a time by decide
+            scans = [None] * len(trials)
+        for (j, sub, seed), scan in zip(trials, scans):
+            out[j] = guarded(decide, sub, seed, scan) or failed
     return out
 
 

@@ -159,8 +159,10 @@ def _make_mcp_zap(alpha: float) -> SparsenessMeasure:
         raise ValueError(f"mcp_zap requires alpha > 0, got {alpha}")
 
     def fn(t, _a=alpha):
-        u = _a * t
-        return np.where(u < 1.0, u * (2.0 - u), 1.0)
+        # u * (2 - u) is 1 at u = 1, so capping u caps the penalty; fmin
+        # also maps a NaN u to 1, as the comparison u < 1 did
+        u = np.fmin(_a * t, 1.0)
+        return u * (2.0 - u)
 
     return SparsenessMeasure(
         name="mcp_zap",

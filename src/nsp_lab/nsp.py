@@ -34,6 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .config import (
+    ELEMENT_BUDGET,
     SCALE_GRID_HI,
     SCALE_GRID_LO,
     SCALE_GRID_POINTS,
@@ -103,9 +104,26 @@ def _topk_total(fv: Array, k: int, axis: int) -> tuple[Array, Array]:
     if k >= n:
         return tot, tot
     if k == 1:
+        if axis == fv.ndim - 1 and fv.size >= 32 * n * n:
+            # a reduction over a short last axis pays per output element;
+            # the elementwise maximum of its n slices is the same number
+            top = np.maximum(fv[..., 0], fv[..., 1])
+            for i in range(2, n):
+                np.maximum(top, fv[..., i], out=top)
+            return top, tot
         return fv.max(axis=axis), tot
     top = (slice(None),) * axis + (slice(n - k, None),)
     return np.partition(fv, n - k, axis=axis)[top].sum(axis=axis), tot
+
+
+def _batches(total: int, size: int):
+    """(start, stop) of consecutive batches of ``size`` >= 2 columns.  A
+    trailing lone column joins the batch before it, since numpy sums one
+    column pairwise (n >= 8) but wider batches row by row."""
+    bounds = list(range(0, total, size)) + [total]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds, bounds[1:])
 
 
 def _slope(measure: SparsenessMeasure, t: Array) -> Array:
@@ -116,28 +134,39 @@ def _slope(measure: SparsenessMeasure, t: Array) -> Array:
 
 
 def _q_columns(z: Array, measure: SparsenessMeasure, k: int, scales: Array, axis: int = 0):
-    """q = J(z_T)/J(z) maximized over supports, per (scale, direction).
+    """q = J(z_T)/J(z) maximized over supports, per (scale, direction), and
+    then over the scales: returns the best q per direction and the index of
+    its scale.
 
     The directions are the columns of ``z`` (axis 0 holds the coordinates)
     or its rows (axis 1).  The refinements use rows, which reproduce
-    one-by-one evaluation bit for bit (see :func:`_deficit_rows`).
+    one-by-one evaluation bit for bit (see :func:`_deficit_rows`).  The
+    penalties are evaluated in blocks of directions of at most
+    ``ELEMENT_BUDGET`` values, which keeps the temporaries in cache and
+    changes no value: every direction is reduced on its own, and no block
+    is a lone column (:func:`_batches`).
 
     For fixed z the maximizing support of size <= k is the top-k of the
     per-coordinate penalties, because moving any coordinate into T can only
     increase J(z_T) and decrease J(z_{T^c}).
     """
-    fv = measure.fn(scales[:, None, None] * np.abs(z)[None, :, :])
-    top, tot = _topk_total(fv, k, axis=axis + 1)
-    with np.errstate(invalid="ignore"):
-        q = np.where(tot > 0, top / tot, 0.0)
-    return q, fv.size
+    a = np.abs(z)
+    count = a.shape[1 - axis]
+    best, arg = np.empty(count), np.empty(count, dtype=np.intp)
+    for lo, hi in _batches(count, max(2, ELEMENT_BUDGET // (scales.size * a.shape[axis]))):
+        block = a[:, lo:hi] if axis == 0 else a[lo:hi]
+        top, tot = _topk_total(measure.fn(scales[:, None, None] * block[None, :, :]), k, axis + 1)
+        with np.errstate(invalid="ignore"):
+            q = np.where(tot > 0, top / tot, 0.0)
+        best[lo:hi] = q.max(axis=0)
+        arg[lo:hi] = q.argmax(axis=0)
+    return best, arg
 
 
 def _q_single(z: Array, measure: SparsenessMeasure, k: int, scales: Array):
     """Best q over the scale grid for one direction; returns (q, scale)."""
-    q, _ = _q_columns(z.reshape(-1, 1), measure, k, scales)
-    i = int(np.argmax(q[:, 0]))
-    return float(q[i, 0]), float(scales[i])
+    q, i = _q_columns(z.reshape(-1, 1), measure, k, scales)
+    return float(q[0]), float(scales[i[0]])
 
 
 def _golden_steps(lo: float, hi: float, iters: int):
@@ -186,38 +215,31 @@ class _Candidate:
 
 
 def _refine_scale(z_rows: Array, measure, k) -> list:
-    """Candidates for the directions in the rows of ``z_rows``, best first,
-    each at the amplitude maximizing q within the allowed scale window; the
-    rows' brackets are refined in lockstep."""
+    """A candidate per row of ``z_rows``, in row order, each at the
+    amplitude maximizing q within the allowed scale window; the rows'
+    brackets are refined in lockstep."""
     scales = _scale_grid(measure)
-    q, _ = _q_columns(z_rows, measure, k, scales, axis=1)
-    qs = q.max(axis=0).tolist()
-    ts = scales[q.argmax(axis=0)].tolist()
+    q, i = _q_columns(z_rows, measure, k, scales, axis=1)
+    qs, ts = q.tolist(), scales[i].tolist()
     if scales.size > 1:
         step = math.log10(scales[1] / scales[0])
         lo = [max(math.log10(SCALE_GRID_LO), math.log10(t) - step) for t in ts]
         hi = [min(math.log10(SCALE_GRID_HI), math.log10(t) + step) for t in ts]
         abs_rows = np.abs(z_rows)
-        if len(abs_rows) == 1:
-            # a lone row (every line scan) skips the batch's array and list
-            # building; a vector sums as a row does, so the values are equal
-            row = abs_rows[0]
 
-            def fun(lts):
-                top, tot = _topk_total(measure.fn(10.0**lts[0] * row), k, axis=0)
-                return [float(top / tot) if tot > 0 else 0.0]
-        else:
-            def fun(lts):
-                amp = np.array([10.0**lt for lt in lts])
-                top, tot = _topk_total(measure.fn(amp[:, None] * abs_rows), k, axis=1)
-                return [p / s if s > 0 else 0.0 for p, s in zip(top.tolist(), tot.tolist())]
+        def fun(lts):
+            amp = np.array([10.0**lt for lt in lts])
+            top, tot = _topk_total(measure.fn(amp[:, None] * abs_rows), k, axis=1)
+            return [p / s if s > 0 else 0.0 for p, s in zip(top.tolist(), tot.tolist())]
 
         for i, (lt, qb) in enumerate(zip(*_golden_max(fun, lo, hi, REFINE_ITERS))):
             if qb >= qs[i]:
                 qs[i], ts[i] = qb, 10.0**lt
-    cands = [_Candidate(q, z, t) for q, z, t in zip(qs, z_rows, ts)]
-    cands.sort(key=lambda c: c.q, reverse=True)
-    return cands
+    return [_Candidate(q, z, t) for q, z, t in zip(qs, z_rows, ts)]
+
+
+def _ranked(cands: list) -> list:
+    return sorted(cands, key=lambda c: c.q, reverse=True)
 
 
 @dataclass
@@ -294,21 +316,47 @@ def _l1_vertex_scan(basis: Array, k: int) -> _Scan:
 
 
 def _scan_subspace(sub, measure, k, rng) -> _Scan:
-    """Ranked (q, direction, scale) candidates over the subspace.
+    """Ranked (q, direction, scale) candidates over the subspace: the one
+    subspace case of :func:`_scan_subspaces`."""
+    return _scan_subspaces([sub], measure, k, [rng])[0]
+
+
+def _scan_subspaces(subs, measure, k, rngs) -> list:
+    """One scan per subspace, each equal to the scan of that subspace alone.
 
     A 1-homogeneous penalty (F(1)|t|) takes the exact l1 vertex enumeration
     while C(n, l-1) is within the enumeration cap.  Otherwise the search is,
     in dim 1, the generator itself; in dim 2, a half-circle angle grid with
     golden-section refinement of the best distinct peaks; in dim >= 3,
-    random unit directions with hill climbing from the best starts.
+    random unit directions with hill climbing from the best starts, on the
+    subspace's own generator.  The lines, and the planes, of one ambient
+    dimension are searched together (:func:`_search_lockstep`).
     """
-    l = sub.dim
-    if measure.homogeneity_degree == 1.0 and l > 1 and _enumerable(sub):
-        scan = _l1_vertex_scan(sub.basis, k)
-        scan.search = functools.cache(lambda: _search_subspace(sub, measure, k, rng))
-        return scan
-    cands, evals = _search_subspace(sub, measure, k, rng)
-    return _Scan(cands, evals, l == 1 and measure.is_homogeneous, None)
+    scans: list = [None] * len(subs)
+    shapes: dict = {}
+    for i, (sub, rng) in enumerate(zip(subs, rngs)):
+        if measure.homogeneity_degree == 1.0 and sub.dim > 1 and _enumerable(sub):
+            scans[i] = _l1_vertex_scan(sub.basis, k)
+            scans[i].search = functools.cache(
+                functools.partial(_search_subspace, sub, measure, k, rng))
+        elif sub.dim <= 2:
+            shapes.setdefault((sub.ambient_dim, sub.dim), []).append(i)
+        else:
+            scans[i] = _Scan(*_search_subspace(sub, measure, k, rng), False, None)
+    for (_, l), idx in shapes.items():
+        found = _search_lockstep([subs[i] for i in idx], measure, k)
+        for i, (cands, evals) in zip(idx, found):
+            scans[i] = _Scan(cands, evals, l == 1 and measure.is_homogeneous, None)
+    return scans
+
+
+def _lockstep_block(measure, n: int, dim: int) -> int:
+    """Subspaces per :func:`_scan_subspaces` call in a Monte Carlo batch:
+    the refinements evaluate one row of n coordinates per line, or
+    REFINE_PEAKS per plane, at every scale, and a block keeps that within
+    ELEMENT_BUDGET."""
+    rows = 1 if dim == 1 else REFINE_PEAKS
+    return max(1, ELEMENT_BUDGET // (_scale_grid(measure).size * rows * n))
 
 
 def _enumerable(sub) -> bool:
@@ -326,53 +374,73 @@ def _sound_radius(sub, measure, k, scan) -> float:
     return scan.sound_radius
 
 
-def _search_subspace(sub, measure, k, rng) -> tuple[list, int]:
-    l = sub.dim
+_ANGLES = np.linspace(0.0, math.pi, DIRECTION_GRID, endpoint=False)
+_ANGLE_DIRECTIONS = np.vstack([np.cos(_ANGLES), np.sin(_ANGLES)])
+
+
+def _search_lockstep(subs, measure, k) -> list:
+    """(ranked candidates, evaluations) per subspace, for lines or planes
+    of one ambient dimension, each as a search of it alone gives them.
+
+    A line's candidate is its generator.  A plane's angle grid is scanned
+    in cache-sized blocks; then the angle brackets of all planes' peaks are
+    refined in one lockstep golden-section search, and all the refined
+    directions' scales in one more.  Each bracket and each row is evaluated
+    on its own, so the batch changes no value.
+    """
     scales = _scale_grid(measure)
-    evals = 0
+    if subs[0].dim == 1:
+        cands = _refine_scale(np.array([sub.basis[:, 0] for sub in subs]), measure, k)
+        return [([c], sub.ambient_dim * scales.size) for c, sub in zip(cands, subs)]
 
-    if l == 1:
-        return _refine_scale(sub.basis[:, 0][None, :], measure, k), sub.ambient_dim * scales.size
-
-    if l == 2:
-        grid = DIRECTION_GRID
-        ang = np.linspace(0.0, math.pi, grid, endpoint=False)
-        w = np.vstack([np.cos(ang), np.sin(ang)])
-        z_cols = sub.basis @ w
-        q, ev = _q_columns(z_cols, measure, k, scales)
-        evals += ev
-        per_col = q.max(axis=0)
-        order = np.argsort(per_col)[::-1]
+    grid = DIRECTION_GRID
+    min_sep = max(2, grid // 90)
+    peak_angles: list[float] = []
+    bounds = [0]               # a plane's peaks are peak_angles[bounds[j]:bounds[j + 1]]
+    for sub in subs:
+        per_col, _ = _q_columns(sub.basis @ _ANGLE_DIRECTIONS, measure, k, scales)
         peaks: list[int] = []
-        min_sep = max(2, grid // 90)
-        for idx in order:
+        for idx in np.argsort(per_col)[::-1]:
             if all(min(abs(idx - p), grid - abs(idx - p)) > min_sep for p in peaks):
                 peaks.append(int(idx))
             if len(peaks) >= REFINE_PEAKS:
                 break
+        peak_angles += [_ANGLES[p] for p in peaks]
+        bounds.append(len(peak_angles))
+    spans = list(zip(bounds, bounds[1:]))
 
-        step = math.pi / grid
+    def directions(thetas):
+        # a plane's basis, broadcast over its angles, runs per angle the
+        # matrix-vector kernel of basis @ (cos, sin) on the basis as laid
+        # out in memory, so each direction is the one it gives alone
+        w = np.array([[math.cos(t), math.sin(t)] for t in thetas])[:, :, None]
+        return np.concatenate([np.matmul(sub.basis, w[lo:hi])[:, :, 0]
+                               for sub, (lo, hi) in zip(subs, spans)])
 
-        def directions(thetas):
-            return np.array([sub.basis @ np.array([math.cos(t), math.sin(t)]) for t in thetas])
+    def q_at_angles(thetas):
+        return _q_columns(directions(thetas), measure, k, scales, axis=1)[0].tolist()
 
-        def q_at_angles(thetas):
-            q, _ = _q_columns(directions(thetas), measure, k, scales, axis=1)
-            return q.max(axis=0).tolist()
+    step = math.pi / grid
+    thetas, _ = _golden_max(q_at_angles, [a - step for a in peak_angles],
+                            [a + step for a in peak_angles], REFINE_ITERS)
+    cands = _refine_scale(directions(thetas), measure, k)
+    return [(_ranked(cands[lo:hi]), scales.size * (sub.ambient_dim * grid + (hi - lo) * REFINE_ITERS))
+            for sub, (lo, hi) in zip(subs, spans)]
 
-        thetas, _ = _golden_max(q_at_angles, [ang[p] - step for p in peaks],
-                                [ang[p] + step for p in peaks], REFINE_ITERS)
-        z_rows = directions(thetas)
-        evals += len(peaks) * REFINE_ITERS * scales.size
-        return _refine_scale(z_rows, measure, k), evals
+
+def _search_subspace(sub, measure, k, rng) -> tuple[list, int]:
+    """Ranked candidates and evaluations of the search over one subspace."""
+    l = sub.dim
+    if l <= 2:
+        return _search_lockstep([sub], measure, k)[0]
 
     # dim >= 3: sampled directions plus hill climbing
+    scales = _scale_grid(measure)
     w = rng.standard_normal((l, DIRECTION_GRID))
     w /= np.linalg.norm(w, axis=0)
     z_cols = sub.basis @ w
-    q, ev = _q_columns(z_cols, measure, k, scales)
-    evals += ev
-    per_col = q.max(axis=0)
+    per_col, _ = _q_columns(z_cols, measure, k, scales)
+    evals = scales.size * z_cols.size
     order = np.argsort(per_col)[::-1][:REFINE_PEAKS]
 
     climbed = []
@@ -392,7 +460,7 @@ def _search_subspace(sub, measure, k, rng) -> tuple[list, int]:
                 if sigma < 1e-4:
                     break
         climbed.append(sub.basis @ wv)
-    return _refine_scale(np.array(climbed), measure, k), evals
+    return _ranked(_refine_scale(np.array(climbed), measure, k)), evals
 
 
 def _support_of(u: Array, measure: SparsenessMeasure, k: int) -> tuple[int, ...]:
@@ -475,13 +543,17 @@ def _validated_scan(sub, cost, k, seed) -> _Scan:
     The scan record is all the private ``_*_from_scan`` deciders read, so
     one scan can answer every question about a subspace.
     """
+    _check_problem(sub, cost, k)
+    return _scan_subspace(sub, cost.measure, k, as_rng(seed))
+
+
+def _check_problem(sub, cost, k) -> None:
     n = sub.ambient_dim
     if cost.dimension != n:
         raise ValueError(f"cost dimension {cost.dimension} != ambient dimension {n}")
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < n, got k={k}")
     _check_support_budget(n, k)
-    return _scan_subspace(sub, cost.measure, k, as_rng(seed))
 
 
 @dataclass

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ELEMENT_BUDGET
 from .measures import CostFunction
-from .nsp import _check_support_budget, _topk_total, robustness_constant
+from .nsp import _batches, _check_support_budget, _topk_total, robustness_constant
 from .subspaces import as_rng
 
 Array = np.ndarray
@@ -80,11 +81,6 @@ def _sup_l1(g_abs: Array, k: int) -> Array:
     return np.where(t > 0.0, vals, np.linalg.norm(g_abs, axis=0))
 
 
-# Penalty values per _feasible_in_cone call, which sets the draws per batch
-# of the generic search.  Wider batches spend more on fresh pages from the
-# allocator than they save in numpy's per-call overhead.
-_ELEMENT_BUDGET = 32768
-
 # The generic search's own amplitude grid on [1e-6, 1e6], unrefined and
 # coarser than the certificates' (config.SCALE_GRID_POINTS, refined), and
 # its bisection steps toward g per support.
@@ -99,16 +95,6 @@ def _feasible_in_cone(u: Array, measure, k: int, scales: Array) -> Array:
     return ((2.0 * top - tot) >= 0.0).any(axis=0)
 
 
-def _batches(total: int, size: int):
-    """(start, stop) of consecutive batches of ``size`` >= 2 columns.  A
-    trailing lone column joins the batch before it, since numpy sums one
-    column pairwise (n >= 8) but wider batches row by row."""
-    bounds = list(range(0, total, size)) + [total]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return zip(bounds, bounds[1:])
-
-
 def _sup_generic(g: Array, measure, k: int, scales: Array) -> Array:
     """Lower bound on the per-draw sup over the failure section of a general
     penalty: start from each support-restricted direction (always inside the
@@ -117,7 +103,10 @@ def _sup_generic(g: Array, measure, k: int, scales: Array) -> Array:
     _check_support_budget(n, k)
     masks = np.array([[i in T for i in range(n)] for T in itertools.combinations(range(n), k)])
     out = np.full(total_draws, -np.inf)
-    size = max(2, _ELEMENT_BUDGET // (len(scales) * n))
+    # C(n, k) supports x _BISECT_STEPS small evaluations per batch make
+    # this search bound by per-call overhead, so its batches are twice
+    # as wide as the budget despite the fresh pages
+    size = max(2, 2 * ELEMENT_BUDGET // (len(scales) * n))
     for start, stop in _batches(total_draws, size):
         gc = g[:, start:stop]
         gn = np.linalg.norm(gc, axis=0)

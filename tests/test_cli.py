@@ -73,6 +73,15 @@ class TestCommands:
         assert payload["inner_search"] == "whole_sphere"
         assert 1.5 < float(payload["mean"]) < 2.2
 
+    def test_json_is_strict(self, capsys):
+        # one draw has no standard error; strict JSON has no token for inf
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        assert main(["width", "--measure", "l1", "--n", "4", "--k", "1", "--draws", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["std_error"] is None
+
     def test_width_with_extension(self, tmp_path):
         out = tmp_path / "width.json"
         code = main(["width", "--measure", "l1", "--n", "4", "--k", "1",
@@ -194,7 +203,7 @@ class TestExitCodes:
         def fails(*args):
             raise ValueError("scan failed")
 
-        monkeypatch.setattr(experiments, "_validated_scan", fails)
+        monkeypatch.setattr(experiments, "_scan_subspaces", fails)
         assert main(["mc", "--n", "4", "--m", "2", "--k", "1", "--trials", "3"]) == 1
         out = capsys.readouterr()
         assert "all 3 trials failed" in out.err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nsp_lab import experiments, nsp
+from nsp_lab import experiments
 from nsp_lab.experiments import (
     ExperimentConfig,
     config_hash,
@@ -11,7 +11,7 @@ from nsp_lab.experiments import (
     verify_counterexample1,
     wilson_interval,
 )
-from nsp_lab.measures import CostFunction, builtin_measure
+from nsp_lab.measures import CostFunction, builtin_measure, parse_measure
 from nsp_lab.nsp import ce1_membership, erc_member
 from nsp_lab.subspaces import gaussian_measurement, null_space
 
@@ -29,6 +29,11 @@ class TestWilson:
             roots = sorted(np.roots([a, b, c]).real)
             assert ci.low == pytest.approx(max(0.0, roots[0]), abs=1e-12)
             assert ci.high == pytest.approx(min(1.0, roots[1]), abs=1e-12)
+
+    def test_exact_endpoints(self):
+        for successes, trials in ((0, 3), (0, 1000)):
+            assert wilson_interval(successes, trials).low == 0.0
+        assert wilson_interval(30, 30).high == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -89,6 +94,11 @@ class TestMonteCarlo:
         parallel = mc_probability(cfg, threads=2)
         assert serial.erc == parallel.erc
         assert serial.rrc == parallel.rrc
+        # the planes and the lines of a worker's trials are scanned in
+        # other lockstep blocks than those of a serial run
+        for n, m, measure in ((5, 3, "mcp_zap(alpha=2)"), (4, 3, "exp_ce1")):
+            cfg = ExperimentConfig(n=n, m=m, k=1, measure=measure, trials=37, seed=5)
+            assert mc_probability(cfg, threads=1) == mc_probability(cfg, threads=2)
 
     def test_zero_sparsity_always_recovers(self):
         cfg = ExperimentConfig(n=5, m=3, k=0, trials=50, seed=6)
@@ -132,30 +142,35 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("d_grid", [(1e-3,), (1e-3, 1e-2, 1e-1)])
     def test_one_scan_per_trial(self, monkeypatch, d_grid):
-        calls = []
-        scan = nsp._scan_subspace
+        scanned = []
+        scan = experiments._scan_subspaces
 
-        def counted(*args):
-            calls.append(args)
-            return scan(*args)
+        def counted(subs, *args):
+            scanned.extend(subs)
+            return scan(subs, *args)
 
-        monkeypatch.setattr(nsp, "_scan_subspace", counted)
+        monkeypatch.setattr(experiments, "_scan_subspaces", counted)
         mc_probability(ExperimentConfig(n=5, m=3, k=1, trials=4, d_grid=d_grid, seed=2))
-        assert len(calls) == 4
+        assert len(scanned) == 4
+
+    @staticmethod
+    def failing_scan(monkeypatch, cfg, trial, error):
+        """Make the scan of one trial's subspace raise ``error``."""
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial]))
+        bad = experiments._trial_subspace(cfg, rng, None).basis
+        scan = experiments._scan_subspaces
+
+        def fails_on_one(subs, *args):
+            if any(np.array_equal(sub.basis, bad) for sub in subs):
+                raise error("scan failed")
+            return scan(subs, *args)
+
+        monkeypatch.setattr(experiments, "_scan_subspaces", fails_on_one)
 
     @pytest.mark.parametrize("error", [TypeError, AttributeError, AssertionError, ValueError])
     def test_programming_errors_propagate(self, monkeypatch, error):
-        scan = experiments._validated_scan
-        calls = []
-
-        def fails_once(*args):
-            calls.append(args)
-            if len(calls) == 1:
-                raise error("scan failed")
-            return scan(*args)
-
-        monkeypatch.setattr(experiments, "_validated_scan", fails_once)
         cfg = ExperimentConfig(n=5, m=3, k=1, trials=3, seed=2)
+        self.failing_scan(monkeypatch, cfg, 0, error)
         if error is ValueError:
             # a certificate that cannot be computed is counted as a failed trial
             summary = mc_probability(cfg)
@@ -164,11 +179,24 @@ class TestMonteCarlo:
             with pytest.raises(error, match="scan failed"):
                 mc_probability(cfg)
 
+    @pytest.mark.parametrize("measure", ["mcp_zap(alpha=2)", "l1"])
+    def test_failing_scan_fails_one_trial_of_its_block(self, monkeypatch, measure):
+        cfg = ExperimentConfig(n=5, m=3, k=1, measure=measure, trials=6,
+                               d_grid=(1e-3, 0.1), seed=4)
+        indices = list(range(cfg.trials))
+        assert experiments._lockstep_block(parse_measure(measure), 5, 2) >= cfg.trials
+        rows = experiments._run_trials(cfg, indices)
+        self.failing_scan(monkeypatch, cfg, 2, ValueError)
+        failed = experiments._run_trials(cfg, indices)
+        assert failed[2][0] is False and failed[2][3] == ["violated"] * 2
+        assert failed[:2] + failed[3:] == rows[:2] + rows[3:]
+        assert mc_probability(cfg).failures == 1
+
     def test_all_trials_failed(self, monkeypatch):
         def fails(*args):
             raise ValueError("scan failed")
 
-        monkeypatch.setattr(experiments, "_validated_scan", fails)
+        monkeypatch.setattr(experiments, "_scan_subspaces", fails)
         cfg = ExperimentConfig(n=5, m=3, k=1, trials=3, d_grid=(1e-3, 1e-2), seed=2)
         summary = mc_probability(cfg)
         assert (summary.trials, summary.failures) == (0, 3)

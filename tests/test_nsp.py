@@ -18,7 +18,13 @@ from nsp_lab.nsp import (
     robustness_constant,
     rrc_probe,
 )
-from nsp_lab.subspaces import Subspace, perturb_subspace, sample_haar
+from nsp_lab.subspaces import (
+    Subspace,
+    gaussian_measurement,
+    null_space,
+    perturb_subspace,
+    sample_haar,
+)
 
 L1 = builtin_measure("l1")
 EXP = builtin_measure("exp_ce1")
@@ -385,9 +391,46 @@ def serial_golden_max(fun, lo, hi, iters):
     return mid, fun(mid)
 
 
+# The references below evaluate every direction as a lone vector, with
+# measure.fn, np.partition and .sum() only, so they share no kernel with
+# the code they check.  The one exception is the angle grid, whose
+# directions the scan holds as the columns of one array: numpy adds a
+# column's coordinates one after another, as np.add.accumulate does.
+
+def serial_split(f, k):
+    """J(u_T) over the top-k support T, and J(u), from the penalties f of u."""
+    n = f.size
+    top = 0.0 if k <= 0 else f.sum() if k >= n else np.partition(f, n - k)[n - k:].sum()
+    return top, f.sum()
+
+
+def serial_q(u, measure, k):
+    top, tot = serial_split(measure.fn(np.abs(u)), k)
+    return top / tot if tot > 0 else 0.0
+
+
+def serial_best_scale(direction, measure, k, scales):
+    """The best q over the scale grid, the first scale attaining it."""
+    qs = [serial_q(t * direction, measure, k) for t in scales]
+    i = int(np.argmax(qs))
+    return qs[i], float(scales[i])
+
+
+def serial_grid(z_cols, measure, k, scales):
+    """Per column of z_cols, the best q over the scale grid, the column's
+    coordinates accumulated one by one."""
+    fv = measure.fn(scales[:, None, None] * np.abs(z_cols)[None, :, :])
+    n = fv.shape[1]
+    tot = np.add.accumulate(fv, axis=1)[:, -1, :]
+    top = (np.zeros_like(tot) if k <= 0 else
+           np.add.accumulate(np.partition(fv, n - k, axis=1)[:, n - k:, :], axis=1)[:, -1, :])
+    with np.errstate(invalid="ignore"):
+        return np.where(tot > 0, top / tot, 0.0).max(axis=0)
+
+
 def serial_deficit(u, measure, k):
     """2 J(u_T) - J(u) for one vector."""
-    top, tot = nsp._topk_total(measure.fn(np.abs(u)), k, axis=0)
+    top, tot = serial_split(measure.fn(np.abs(u)), k)
     return float(2.0 * top - tot)
 
 
@@ -446,7 +489,7 @@ def serial_quick(z, measure, k, radius):
 def serial_refine_scale(direction, measure, k):
     """Scale refinement of one direction."""
     scales = nsp._scale_grid(measure)
-    q0, t0 = nsp._q_single(direction, measure, k, scales)
+    q0, t0 = serial_best_scale(direction, measure, k, scales)
     if scales.size == 1:
         return q0, 1.0
     lg = math.log10(t0)
@@ -455,8 +498,7 @@ def serial_refine_scale(direction, measure, k):
     hi = min(math.log10(nsp.SCALE_GRID_HI), lg + step)
 
     def fun(lt):
-        top, tot = nsp._topk_total(measure.fn(10.0**lt * np.abs(direction)), k, axis=0)
-        return top / tot if tot > 0 else 0.0
+        return serial_q(10.0**lt * direction, measure, k)
 
     lt_best, q_best = serial_golden_max(fun, lo, hi, nsp.REFINE_ITERS)
     if q_best >= q0:
@@ -481,8 +523,8 @@ def serial_search(sub, measure, k):
     assert sub.dim == 2
     grid = nsp.DIRECTION_GRID
     ang = np.linspace(0.0, math.pi, grid, endpoint=False)
-    q, evals = nsp._q_columns(sub.basis @ np.vstack([np.cos(ang), np.sin(ang)]), measure, k, scales)
-    per_col = q.max(axis=0)
+    per_col = serial_grid(sub.basis @ np.vstack([np.cos(ang), np.sin(ang)]), measure, k, scales)
+    evals = scales.size * sub.ambient_dim * grid
     peaks = []
     min_sep = max(2, grid // 90)
     for idx in np.argsort(per_col)[::-1]:
@@ -495,7 +537,7 @@ def serial_search(sub, measure, k):
         return sub.basis @ np.array([math.cos(theta), math.sin(theta)])
 
     def q_at_angle(theta):
-        return nsp._q_single(direction(theta), measure, k, scales)[0]
+        return serial_best_scale(direction(theta), measure, k, scales)[0]
 
     cands = []
     step = math.pi / grid
@@ -507,6 +549,10 @@ def serial_search(sub, measure, k):
         cands.append(nsp._Candidate(qq, z, tt))
     cands.sort(key=lambda c: c.q, reverse=True)
     return cands, evals
+
+
+def draw_null_space(n, dim, rng):
+    return null_space(gaussian_measurement(n - dim, n, rng))
 
 
 def random_attack(rng, n):
@@ -560,7 +606,9 @@ class TestBatchedSearch:
         rng = np.random.default_rng(44 + dim)
         for n in range(dim + 1, 14):
             for measure in CONTINUOUS if dim == 1 else GRID:
-                sub = sample_haar(n, dim, rng)
+                # a Haar basis is stored by rows, a Gaussian null space by
+                # columns, and BLAS rounds basis @ w differently for the two
+                sub = sample_haar(n, dim, rng) if n % 2 else draw_null_space(n, dim, rng)
                 k = int(rng.integers(0, min(n, 4)))
                 scan = nsp._scan_subspace(sub, measure, k, None)
                 ref, ref_evals = serial_search(sub, measure, k)
@@ -568,6 +616,31 @@ class TestBatchedSearch:
                 assert [(c.q, c.scale) for c in scan.cands] == [(c.q, c.scale) for c in ref]
                 for c, r in zip(scan.cands, ref):
                     assert np.array_equal(c.direction, r.direction)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_lockstep_matches_one_at_a_time(self, monkeypatch, dim):
+        rng = np.random.default_rng(48 + dim)
+        for n in range(3, 14):
+            for measure in GRID:
+                k = int(rng.integers(0, min(n, 4)))
+                subs = [sample_haar(n, dim, rng) if i % 2 else draw_null_space(n, dim, rng)
+                        for i in range(7)]
+                alone = [nsp._scan_subspace(sub, measure, k, None) for sub in subs]
+                # a budget of six subspaces' refinement rows: a Monte Carlo
+                # block is 6 subspaces, so 7 are more than one, and the
+                # kernel splits the grid and the rows of 7 into blocks
+                rows = 1 if dim == 1 else nsp.REFINE_PEAKS
+                monkeypatch.setattr(nsp, "ELEMENT_BUDGET",
+                                    6 * nsp._scale_grid(measure).size * rows * n)
+                assert nsp._lockstep_block(measure, n, dim) == 6
+                for size in (1, 2, 7):
+                    batch = nsp._scan_subspaces(subs[:size], measure, k, [None] * size)
+                    for got, ref in zip(batch, alone[:size], strict=True):
+                        assert got.evaluations == ref.evaluations
+                        assert [(c.q, c.scale) for c in got.cands] == [(c.q, c.scale) for c in ref.cands]
+                        for c, r in zip(got.cands, ref.cands):
+                            assert np.array_equal(c.direction, r.direction)
+                monkeypatch.undo()
 
     def test_probe_matches_single_evaluation_search(self, monkeypatch):
         # the dominance flag is cleared so that no radius is certified and

@@ -178,7 +178,7 @@ class TestGenericBatching:
             cost = CostFunction(parse_measure(measure), n)
             results = []
             for budget in (1, 10**9):
-                monkeypatch.setattr(width, "_ELEMENT_BUDGET", budget)
+                monkeypatch.setattr(width, "ELEMENT_BUDGET", budget)
                 results.append([width_mc(cost, k, draws=25, seed=n),
                                 width_extended(cost, k, 0.1, draws=25, seed=n)])
             (small, small_ext), (large, large_ext) = results
@@ -196,7 +196,7 @@ class TestGenericBatching:
 
     def test_top1_is_the_partition_top(self):
         rng = np.random.default_rng(13)
-        for axis, shape in ((0, (7, 5)), (1, (3, 6, 9))):
+        for axis, shape in ((0, (7, 5)), (1, (3, 6, 9)), (2, (61, 20, 5)), (1, (300, 4))):
             fv = np.round(rng.random(shape), 1)   # ties
             n = fv.shape[axis]
             top = (slice(None),) * axis + (slice(n - 1, None),)
