@@ -96,24 +96,35 @@ def _topk_total(fv: Array, k: int, axis: int) -> tuple[Array, Array]:
     """Sum of the k largest entries along the coordinate ``axis``, and the
     full sum.  Works on one vector (axis 0) and on (scale, n, cols) batches
     (axis 1) alike; the top-k is read off one partition at n - k, or for
-    k = 1 is the maximum, the same number without the partition."""
+    k = 1 is the maximum, and for k = 2 on many vectors the running
+    largest and second largest: the same numbers without the partition,
+    whose sum does not depend on the order of its two terms."""
     tot = fv.sum(axis=axis)
     n = fv.shape[axis]
     if k <= 0:
         return np.zeros_like(tot), tot
     if k >= n:
         return tot, tot
+    # a partition or a reduction over a short last axis pays per vector;
+    # elementwise passes over the n coordinate slices pay per element
+    many = fv.size >= 32 * n * n
+    at = (slice(None),) * axis
     if k == 1:
-        if axis == fv.ndim - 1 and fv.size >= 32 * n * n:
-            # a reduction over a short last axis pays per output element;
-            # the elementwise maximum of its n slices is the same number
+        if axis == fv.ndim - 1 and many:
             top = np.maximum(fv[..., 0], fv[..., 1])
             for i in range(2, n):
                 np.maximum(top, fv[..., i], out=top)
             return top, tot
         return fv.max(axis=axis), tot
-    top = (slice(None),) * axis + (slice(n - k, None),)
-    return np.partition(fv, n - k, axis=axis)[top].sum(axis=axis), tot
+    if k == 2 and many:
+        top = np.maximum(fv[at + (0,)], fv[at + (1,)])
+        second = np.minimum(fv[at + (0,)], fv[at + (1,)])
+        below = np.empty_like(top)
+        for i in range(2, n):
+            np.maximum(second, np.minimum(top, fv[at + (i,)], out=below), out=second)
+            np.maximum(top, fv[at + (i,)], out=top)
+        return top + second, tot
+    return np.partition(fv, n - k, axis=axis)[at + (slice(n - k, None),)].sum(axis=axis), tot
 
 
 def _batches(total: int, size: int):

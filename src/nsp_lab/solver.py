@@ -393,6 +393,10 @@ def _kkt_residual(a: MeasurementMatrix, y: Array, x: Array, lam: float, radius: 
     With c = A^T (y - Ax): sign consistency |c_i - lam sign(x_i)| / lam on
     the support, dual feasibility (|c_i| - lam)_+ / lam off it, and
     | ||Ax - y|| - radius |.  Zero for x = 0 inside the ball (lam = inf).
+    The first two are relative to lam, which shrinks with the radius, while
+    c carries an absolute float64 rounding of about eps ||y||: at radii of
+    1e-10 and below the value shows that rounding (1e-4 to 0.1 on 3x5
+    problems with ||y|| = 5), not a defect of x.
     """
     if math.isinf(lam):
         return 0.0

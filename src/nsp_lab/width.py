@@ -8,7 +8,8 @@ estimates by Monte Carlo.  Per draw, the supremum is exact for the l1
 cost: the top-k support of |g| attains it (rearrangement), and its value
 is the norm of one convex cone projection whose multiplier has a closed
 form.  Other penalties get a feasible line-search lower bound from every
-support of size k, in batches of a fixed number of penalty values.
+support of size k, in batches of a fixed number of penalty values.  The
+estimates asked of one draw sample share its per-draw suprema.
 
 Because the failure cone is a union of rays, the d-extended section is the
 angular d-neighborhood of K, so its per-draw supremum follows from the
@@ -88,31 +89,56 @@ _WIDTH_SCALE_POINTS = 33
 _BISECT_STEPS = 30
 
 
-def _feasible_in_cone(u: Array, measure, k: int, scales: Array) -> Array:
-    """Columns of u whose top-k cost reaches half the total at some scale."""
-    fv = measure.fn(scales[:, None, None] * np.abs(u)[None, :, :])
-    top, tot = _topk_total(fv, k, axis=1)
-    return ((2.0 * top - tot) >= 0.0).any(axis=0)
-
-
-def _sup_generic(g: Array, measure, k: int, scales: Array) -> Array:
+def _sup_generic(g: Array, measure, k: int) -> Array:
     """Lower bound on the per-draw sup over the failure section of a general
     penalty: start from each support-restricted direction (always inside the
     cone) and line-search toward g along the sphere, keeping feasibility."""
     n, total_draws = g.shape
-    _check_support_budget(n, k)
     masks = np.array([[i in T for i in range(n)] for T in itertools.combinations(range(n), k)])
+    if measure.is_homogeneous:
+        scales = np.ones(1)
+    else:
+        scales = np.geomspace(1e-6, 1e6, _WIDTH_SCALE_POINTS)
     out = np.full(total_draws, -np.inf)
-    # C(n, k) supports x _BISECT_STEPS small evaluations per batch make
-    # this search bound by per-call overhead, so its batches are twice
-    # as wide as the budget despite the fresh pages
-    size = max(2, 2 * ELEMENT_BUDGET // (len(scales) * n))
-    for start, stop in _batches(total_draws, size):
+    # a bisection step makes a few passes over (scale, n, draw) arrays, so
+    # the search is bound by element passes; its batches are twice as
+    # wide as the budget, and every temporary it controls lives in buffers
+    # allocated once, at the widest batch, below
+    spans = list(_batches(total_draws, max(2, 2 * ELEMENT_BUDGET // (len(scales) * n))))
+    widest = max(stop - start for start, stop in spans)
+    flat = np.empty((3, n * widest))
+    scaled = np.empty(len(scales) * n * widest)
+    norms = np.empty(widest)
+
+    def feasible(u: Array, absu: Array, sc: Array) -> Array:
+        """Columns of u whose top-k cost reaches half the total at some scale."""
+        np.abs(u, out=absu)
+        if measure.is_homogeneous:       # the lone scale 1.0 multiplies exactly
+            fv = measure.fn(absu[None, :, :])
+        else:
+            fv = measure.fn(np.multiply(scales[:, None, None], absu[None, :, :], out=sc))
+        top, tot = _topk_total(fv, k, axis=1)
+        return ((2.0 * top - tot) >= 0.0).any(axis=0)
+
+    def mix_on_sphere(u0: Array, ghat: Array, frac: Array, u: Array, tmp: Array, nrm: Array):
+        """u = the normalized (1 - frac) u0 + frac ghat, with the bits of
+        np.linalg.norm's sqrt(sum(u * u))."""
+        np.multiply(u0, 1.0 - frac, out=u)
+        np.add(u, np.multiply(ghat, frac, out=tmp), out=u)
+        np.sqrt(np.add.reduce(np.multiply(u, u, out=tmp), axis=0, out=nrm), out=nrm)
+        np.divide(u, nrm, out=u)
+
+    for start, stop in spans:
+        cols = stop - start
+        # contiguous (n, cols) views, laid out as fresh arrays would be
+        u, tmp, absu = (b[: n * cols].reshape(n, cols) for b in flat)
+        sc = scaled[: len(scales) * n * cols].reshape(len(scales), n, cols)
+        nrm = norms[:cols]
         gc = g[:, start:stop]
         gn = np.linalg.norm(gc, axis=0)
         ghat = gc / gn
-        best = np.full(gc.shape[1], -np.inf)
-        whole = _feasible_in_cone(ghat, measure, k, scales)
+        best = np.full(cols, -np.inf)
+        whole = feasible(ghat, absu, sc)
         best = np.where(whole, gn, best)
         for m in masks:
             u0 = gc * m[:, None]
@@ -124,48 +150,73 @@ def _sup_generic(g: Array, measure, k: int, scales: Array) -> Array:
                 u0 = np.where(degenerate[None, :], fallback, u0)
                 u0n = np.linalg.norm(u0, axis=0)
             u0 = u0 / u0n
-            lo = np.zeros(gc.shape[1])       # feasible fraction toward ghat
-            hi = np.ones(gc.shape[1])
+            lo = np.zeros(cols)       # feasible fraction toward ghat
+            hi = np.ones(cols)
             for _ in range(_BISECT_STEPS):
                 mid = 0.5 * (lo + hi)
-                u = (1.0 - mid)[None, :] * u0 + mid[None, :] * ghat
-                u /= np.linalg.norm(u, axis=0)
-                ok = _feasible_in_cone(u, measure, k, scales)
+                mix_on_sphere(u0, ghat, mid, u, tmp, nrm)
+                ok = feasible(u, absu, sc)
                 lo = np.where(ok, mid, lo)
                 hi = np.where(ok, hi, mid)
-            u = (1.0 - lo)[None, :] * u0 + lo[None, :] * ghat
-            u /= np.linalg.norm(u, axis=0)
-            vals = (gc * u).sum(axis=0)
-            best = np.maximum(best, vals)
+            mix_on_sphere(u0, ghat, lo, u, tmp, nrm)
+            best = np.maximum(best, np.add.reduce(np.multiply(gc, u, out=tmp), axis=0))
         out[start:stop] = best
     return out
 
 
+# The last int-seeded sample of _draw_sups and its key: (measure, (n, k,
+# draws, seed), sample).  Holding the measure keeps its id from being
+# reused while the entry lives.
+_last_sample = None
+
+
 def _draw_sups(cost: CostFunction, k: int, draws: int, seed):
-    """(g, per-draw sup, inner search label, is_lower_bound) for ``draws``
-    Gaussian draws at ``seed``: the sample both width estimates share."""
+    """(per-draw sup, per-draw ||g||, inner search label, is_lower_bound)
+    for ``draws`` Gaussian draws at ``seed``: the sample that the width
+    estimates share.
+
+    The last sample drawn from an int seed is kept, read-only, and served
+    again for the same measure object, dimension, k, draws and seed, so
+    ``measure.fn`` must be pure.  A Generator seed always draws afresh.
+    """
+    global _last_sample
     n, measure = cost.dimension, cost.measure
     if draws < 1:
         raise ValueError("draws must be >= 1")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    g = as_rng(seed).standard_normal((n, draws))
     if not measure.continuous:
         raise ValueError(f"width estimation requires a continuous measure, got {measure.name}")
+    generic = k < n and measure.homogeneity_degree != 1.0
+    if generic:
+        _check_support_budget(n, k)
+    key = (n, k, draws, int(seed)) if isinstance(seed, (int, np.integer)) else None
+    held = _last_sample      # read once: a thread may replace the entry
+    if key is not None and held is not None and held[0] is measure and held[1] == key:
+        return held[2]
+    g = as_rng(seed).standard_normal((n, draws))
+    norms = np.linalg.norm(g, axis=0)
     if k == n:
-        return g, np.linalg.norm(g, axis=0), "whole_sphere", False
-    if measure.homogeneity_degree == 1.0:
-        return g, _sup_l1(np.abs(g), k), "support_projection", False
-    if measure.is_homogeneous:
-        scales = np.array([1.0])
+        sample = norms, norms, "whole_sphere", False
+    elif not generic:
+        sample = _sup_l1(np.abs(g), k), norms, "support_projection", False
     else:
-        scales = np.geomspace(1e-6, 1e6, _WIDTH_SCALE_POINTS)
-    return g, _sup_generic(g, measure, k, scales), "multistart", True
+        sample = _sup_generic(g, measure, k), norms, "multistart", True
+    for arr in sample[:2]:
+        arr.setflags(write=False)
+    if key is not None:
+        _last_sample = measure, key, sample
+    return sample
 
 
 def width_mc(cost: CostFunction, k: int, draws: int = 10_000, seed: int = 0) -> WidthEstimate:
-    """Monte Carlo Gaussian width of the sparsity-k failure section."""
-    _, sup, label, lower = _draw_sups(cost, k, draws, seed)
+    """Monte Carlo Gaussian width of the sparsity-k failure section.
+
+    The per-draw suprema of one (measure object, k, draws, int seed)
+    sample are computed once and shared with :func:`width_extended` and
+    :func:`omega_hat_bound`, so ``measure.fn`` must be pure.
+    """
+    sup, _, label, lower = _draw_sups(cost, k, draws, seed)
     se = float(sup.std(ddof=1) / math.sqrt(draws)) if draws > 1 else math.inf
     return WidthEstimate(float(sup.mean()), se, draws, label, lower)
 
@@ -180,16 +231,17 @@ def width_extended(
     """Monte Carlo width of the d-extended failure section.
 
     Shares the Gaussian draws of :func:`width_mc` at the same seed, so the
-    two estimates are paired.  Per draw, since the failure cone is a union
-    of rays through the origin, the extended supremum is
-    ||g|| cos(max(0, theta - arcsin(min(d, 1)))) where theta is the angle
-    between g and the section; the bound sup_{K_d} <= d ||g|| + sup_K is
-    asserted for every draw.
+    two estimates are paired; after :func:`width_mc` on the same measure
+    object, k, draws and int seed it reuses its per-draw suprema instead
+    of searching again, so ``measure.fn`` must be pure.  Per draw, since
+    the failure cone is a union of rays through the origin, the extended
+    supremum is ||g|| cos(max(0, theta - arcsin(min(d, 1)))) where theta
+    is the angle between g and the section; the bound
+    sup_{K_d} <= d ||g|| + sup_K is asserted for every draw.
     """
     if not (math.isfinite(d) and d >= 0):
         raise ValueError(f"need finite d >= 0, got {d}")
-    g, sup, label, lower = _draw_sups(cost, k, draws, seed)
-    norms = np.linalg.norm(g, axis=0)
+    sup, norms, label, lower = _draw_sups(cost, k, draws, seed)
     theta = np.arccos(np.clip(sup / norms, -1.0, 1.0))
     alpha = math.asin(min(d, 1.0))
     sup_d = norms * np.cos(np.maximum(theta - alpha, 0.0))
@@ -254,7 +306,9 @@ def omega_hat_bound(
     Uses the analytic l1 width bound or a Monte Carlo width, then applies
     the escape probability at effective width w + d sqrt(n).  When the
     condition w + d sqrt(n) < sqrt(m) fails the bound is 0 and the flag
-    records it.
+    records it.  The Monte Carlo width is :func:`width_mc`'s, whose
+    sample of one (measure object, k, draws, int seed) is computed once,
+    so ``measure.fn`` must be pure.
     """
     n = cost.dimension
     if width_source == "auto":

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from decimal import Decimal, getcontext
@@ -84,6 +85,29 @@ class TestWidthMc:
     def test_l0_rejected(self):
         with pytest.raises(ValueError):
             width_mc(CostFunction(builtin_measure("l0"), 4), 1, draws=10)
+
+    @pytest.mark.parametrize("spec, n, k, draws", [
+        ("l0", 6, 1, 10), ("l1", 6, 0, 10), ("l1", 6, 7, 10), ("l1", 6, 1, 0),
+        ("lp(p=0.5)", 40, 10, 10),   # past the enumeration cap
+    ])
+    def test_rejection_draws_nothing(self, spec, n, k, draws):
+        cost = CostFunction(parse_measure(spec), n)
+        rng = np.random.default_rng(21)
+        state = rng.bit_generator.state
+        for call in (lambda: width_mc(cost, k, draws=draws, seed=rng),
+                     lambda: width_extended(cost, k, 0.1, draws=draws, seed=rng)):
+            with pytest.raises(ValueError):
+                call()
+            assert rng.bit_generator.state == state
+
+    def test_bad_k_after_a_good_call_raises(self):
+        cost = l1_cost(6)
+        width_mc(cost, 2, draws=50, seed=22)
+        for k in (0, 7):
+            with pytest.raises(ValueError):
+                width_mc(cost, k, draws=50, seed=22)
+            with pytest.raises(ValueError):
+                width_extended(cost, k, 0.1, draws=50, seed=22)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -175,10 +199,12 @@ class TestGenericBatching:
         # budget 1 gives the smallest batches, two draws each with the odd
         # draw count leaving a lone trailing column to merge
         for n, k in ((6, 1), (8, 2)):
-            cost = CostFunction(parse_measure(measure), n)
             results = []
             for budget in (1, 10**9):
                 monkeypatch.setattr(width, "ELEMENT_BUDGET", budget)
+                # a fresh measure object per budget, so that neither budget
+                # is served the other's sample
+                cost = CostFunction(parse_measure(measure), n)
                 results.append([width_mc(cost, k, draws=25, seed=n),
                                 width_extended(cost, k, 0.1, draws=25, seed=n)])
             (small, small_ext), (large, large_ext) = results
@@ -195,15 +221,160 @@ class TestGenericBatching:
                 assert all(b - a >= min(2, total) for a, b in spans)
 
     def test_top1_is_the_partition_top(self):
+        self.check_top_against_partition(1)
+
+    def test_top2_is_the_partition_top(self):
+        self.check_top_against_partition(2)
+
+    @staticmethod
+    def check_top_against_partition(k):
         rng = np.random.default_rng(13)
-        for axis, shape in ((0, (7, 5)), (1, (3, 6, 9)), (2, (61, 20, 5)), (1, (300, 4))):
+        for axis, shape in ((0, (7, 5)), (1, (3, 6, 9)), (2, (61, 20, 5)), (1, (300, 4)),
+                            (0, (5, 900)), (1, (33, 8, 40)), (2, (4, 50, 7))):
             fv = np.round(rng.random(shape), 1)   # ties
+            fv[rng.random(shape) < 0.03] = np.inf
+            fv[rng.random(shape) < 0.01] = np.nan
             n = fv.shape[axis]
-            top = (slice(None),) * axis + (slice(n - 1, None),)
-            partition = np.partition(fv, n - 1, axis=axis)[top].sum(axis=axis)
-            got, tot = _topk_total(fv, 1, axis=axis)
-            assert np.array_equal(got, partition)
-            assert np.array_equal(tot, fv.sum(axis=axis))
+            top = (slice(None),) * axis + (slice(n - k, None),)
+            partition = np.partition(fv, n - k, axis=axis)[top].sum(axis=axis)
+            got, tot = _topk_total(fv, k, axis=axis)
+            assert np.array_equal(got, partition, equal_nan=True), (axis, shape)
+            assert np.array_equal(tot, fv.sum(axis=axis), equal_nan=True)
+
+
+def reference_sup_generic(g, measure, k):
+    """The one-support-at-a-time search with fresh temporaries, its top-k
+    read off np.partition: the reference of the buffered kernel."""
+    n, total_draws = g.shape
+    if measure.is_homogeneous:
+        scales = np.array([1.0])
+    else:
+        scales = np.geomspace(1e-6, 1e6, width._WIDTH_SCALE_POINTS)
+
+    def feasible(u):
+        fv = measure.fn(scales[:, None, None] * np.abs(u)[None, :, :])
+        top = np.partition(fv, n - k, axis=1)[:, n - k:].sum(axis=1)
+        return ((2.0 * top - fv.sum(axis=1)) >= 0.0).any(axis=0)
+
+    masks = np.array([[i in T for i in range(n)] for T in itertools.combinations(range(n), k)])
+    out = np.full(total_draws, -np.inf)
+    size = max(2, 2 * width.ELEMENT_BUDGET // (len(scales) * n))
+    for start, stop in width._batches(total_draws, size):
+        gc = g[:, start:stop]
+        gn = np.linalg.norm(gc, axis=0)
+        ghat = gc / gn
+        best = np.where(feasible(ghat), gn, -np.inf)
+        for m in masks:
+            u0 = gc * m[:, None]
+            u0n = np.linalg.norm(u0, axis=0)
+            degenerate = u0n < 1e-12
+            if degenerate.any():
+                fallback = np.zeros_like(u0)
+                fallback[np.argmax(m)] = 1.0
+                u0 = np.where(degenerate[None, :], fallback, u0)
+                u0n = np.linalg.norm(u0, axis=0)
+            u0 = u0 / u0n
+            lo = np.zeros(gc.shape[1])
+            hi = np.ones(gc.shape[1])
+            for _ in range(width._BISECT_STEPS):
+                mid = 0.5 * (lo + hi)
+                u = (1.0 - mid)[None, :] * u0 + mid[None, :] * ghat
+                u /= np.linalg.norm(u, axis=0)
+                ok = feasible(u)
+                lo = np.where(ok, mid, lo)
+                hi = np.where(ok, hi, mid)
+            u = (1.0 - lo)[None, :] * u0 + lo[None, :] * ghat
+            u /= np.linalg.norm(u, axis=0)
+            best = np.maximum(best, (gc * u).sum(axis=0))
+        out[start:stop] = best
+    return out
+
+
+class TestGenericKernel:
+    @pytest.mark.parametrize("spec", ["exp_ce1", "lp(p=0.5)", "mcp_zap(alpha=2)", "scad"])
+    @pytest.mark.parametrize("n, k", [(6, 1), (8, 2), (7, 3)])
+    def test_matches_the_reference_bit_for_bit(self, monkeypatch, spec, n, k):
+        measure = parse_measure(spec)
+        rng = np.random.default_rng(31)
+        g = rng.standard_normal((n, 11))
+        g[:k, 3] = 0.0      # the support {0..k-1} of draw 3 is degenerate
+        g[k:, 4] = 0.0      # draw 4 lies on that support
+        # one batch of 11 draws; batches of 2, the last taking the lone
+        # eleventh draw; and 7 draws in batches of 3 and 4
+        per_draw = (1 if measure.is_homogeneous else width._WIDTH_SCALE_POINTS) * n
+        for budget, draws, widths in ((width.ELEMENT_BUDGET, 11, [11]),
+                                      (per_draw, 11, [2, 2, 2, 2, 3]),
+                                      (3 * per_draw // 2 + 1, 7, [3, 4])):
+            monkeypatch.setattr(width, "ELEMENT_BUDGET", budget)
+            size = max(2, 2 * budget // per_draw)
+            assert [b - a for a, b in width._batches(draws, size)] == widths
+            got = width._sup_generic(g[:, :draws], measure, k)
+            assert np.array_equal(got, reference_sup_generic(g[:, :draws], measure, k))
+
+
+def counted(spec):
+    """A fresh measure parsed from ``spec`` and a list whose length counts
+    the calls of its fn."""
+    base = parse_measure(spec)
+    calls = []
+
+    def fn(t):
+        calls.append(np.size(t))
+        return base.fn(t)
+
+    return dataclasses.replace(base, fn=fn), calls
+
+
+class TestSharedSample:
+    @pytest.mark.parametrize("spec, n, k", [("lp(p=0.5)", 6, 2), ("exp_ce1", 5, 1)])
+    def test_paired_calls_reuse_the_sample(self, spec, n, k):
+        cold = CostFunction(parse_measure(spec), n)
+        cold_ext = width_extended(cold, k, 0.1, draws=30, seed=41)
+        width_mc(CostFunction(parse_measure(spec), n), k, draws=30, seed=41)  # evicts it
+        cold_omega = omega_hat_bound(cold, 4, k, 0.0, width_source="mc", draws=30, seed=41)
+        measure, calls = counted(spec)
+        cost = CostFunction(measure, n)
+        base = width_mc(cost, k, draws=30, seed=41)
+        assert calls
+        calls.clear()
+        assert width_extended(cost, k, 0.1, draws=30, seed=41) == cold_ext
+        assert omega_hat_bound(cost, 4, k, 0.0, width_source="mc", draws=30,
+                               seed=41) == cold_omega
+        assert base.mean == cold_omega.width_value
+        assert calls == []
+
+    def test_another_measure_object_recomputes(self):
+        first, first_calls = counted("lp(p=0.5)")
+        second, second_calls = counted("lp(p=0.5)")
+        a = width_mc(CostFunction(first, 6), 2, draws=20, seed=42)
+        b = width_mc(CostFunction(second, 6), 2, draws=20, seed=42)
+        assert a == b
+        assert first_calls and len(second_calls) == len(first_calls)
+
+    def test_other_inputs_recompute(self):
+        # only the last sample is kept, and a numpy integer seed is the int
+        measure, calls = counted("lp(p=0.5)")
+        for n, k, draws, seed, hit in ((6, 2, 20, 44, False), (6, 2, 21, 43, False),
+                                       (6, 1, 20, 43, False), (7, 2, 20, 43, False),
+                                       (6, 2, 20, np.int64(43), True)):
+            width_mc(CostFunction(measure, 6), 2, draws=20, seed=43)
+            calls.clear()
+            width_mc(CostFunction(measure, n), k, draws=draws, seed=seed)
+            assert bool(calls) != hit, (n, k, draws, seed)
+
+    def test_a_generator_draws_afresh(self):
+        cost = CostFunction(parse_measure("exp_ce1"), 5)
+        rng = np.random.default_rng(45)
+        a = width_mc(cost, 1, draws=20, seed=rng)
+        b = width_mc(cost, 1, draws=20, seed=rng)
+        assert a.mean != b.mean
+
+    def test_the_sample_is_read_only(self):
+        for spec, k in (("l1", 2), ("l1", 6), ("lp(p=0.5)", 2)):
+            sup, norms, _, _ = width._draw_sups(CostFunction(parse_measure(spec), 6), k, 20, 46)
+            for arr in (sup, norms):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
 
 
 class TestWidthExtended:
