@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .config import SUPPORT_ENUMERATION_CAP, TOL
 from .measures import CostFunction
@@ -122,11 +121,12 @@ def solve_noiseless(
 
     ``descent`` parametrizes the feasible set as x0 + N w (x0 the min-norm
     solution, N the null-space basis) and runs derivative-free multistart
-    minimization over w.  ``irls`` applies reweighted least squares on the
-    same affine set and requires a power-law penalty.  ``enumerate`` solves
-    least squares on every support of size <= k and returns the feasible
-    candidate of least cost: exact among sparse candidates, blind to denser
-    minimizers.
+    minimization over w: scipy's Powell, the package's only use of scipy,
+    imported on the first such call.  ``irls`` applies reweighted least
+    squares on the same affine set and requires a power-law penalty.
+    ``enumerate`` solves least squares on every support of size <= k and
+    returns the feasible candidate of least cost: exact among sparse
+    candidates, blind to denser minimizers.
     """
     if problem.epsilon != 0:
         raise ValueError("noiseless solver requires epsilon = 0")
@@ -193,6 +193,9 @@ def solve_noiseless(
 
     def objective(w):
         return cost.value(x0 + nbasis @ w)
+
+    # imported here, its only use: at module level it doubles start-up and memory
+    import scipy.optimize
 
     best_w, best_v, iters = np.zeros(l), objective(np.zeros(l)), 0
     for w0 in w_starts[:starts]:

@@ -160,7 +160,8 @@ def _sup_generic(g: Array, measure, k: int) -> Array:
                 hi = np.where(ok, hi, mid)
             mix_on_sphere(u0, ghat, lo, u, tmp, nrm)
             best = np.maximum(best, np.add.reduce(np.multiply(gc, u, out=tmp), axis=0))
-        out[start:stop] = best
+        # rounding can put g.u a few ulps above ||g||, the sup over the sphere
+        out[start:stop] = np.minimum(best, gn)
     return out
 
 

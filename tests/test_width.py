@@ -286,7 +286,7 @@ def reference_sup_generic(g, measure, k):
             u = (1.0 - lo)[None, :] * u0 + lo[None, :] * ghat
             u /= np.linalg.norm(u, axis=0)
             best = np.maximum(best, (gc * u).sum(axis=0))
-        out[start:stop] = best
+        out[start:stop] = np.minimum(best, gn)
     return out
 
 
@@ -310,6 +310,15 @@ class TestGenericKernel:
             assert [b - a for a, b in width._batches(draws, size)] == widths
             got = width._sup_generic(g[:, :draws], measure, k)
             assert np.array_equal(got, reference_sup_generic(g[:, :draws], measure, k))
+
+
+@pytest.mark.parametrize("spec", ["exp_ce1", "lp(p=0.5)", "mcp_zap(alpha=2)", "scad"])
+@pytest.mark.parametrize("n, k", [(4, 1), (6, 2)])
+def test_generic_sup_stays_below_the_norm(spec, n, k):
+    # g.u sums to a few ulps above ||g|| for u close to g/||g||; the sup
+    # over the whole sphere is ||g||, so each draw is capped there
+    sup, norms, _, _ = width._draw_sups(CostFunction(parse_measure(spec), n), k, 60, 47)
+    assert (sup <= norms).all()
 
 
 def counted(spec):
