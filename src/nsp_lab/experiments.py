@@ -8,7 +8,6 @@ reproducible and aggregation is order-independent.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -224,6 +223,10 @@ def mc_probability(cfg: ExperimentConfig, threads: int = 1) -> MonteCarloSummary
     else:
         chunks = [indices[i::threads] for i in range(threads)]
         rows_by_idx: dict[int, tuple] = {}
+        # imported here, its only use: at module level it adds ~0.7 MB to
+        # every process, threaded or not
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             futures = {pool.submit(_run_trials, cfg, ch): ch for ch in chunks if ch}
             for fut in concurrent.futures.as_completed(futures):

@@ -12,7 +12,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from decimal import Decimal, getcontext
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,6 +22,11 @@ from .nsp import ce1_membership, nsc, nsp_check, region_boundary_map, robustness
 from .solver import adversarial_pair, empirical_robustness
 from .subspaces import gaussian_measurement, null_space, perturb_subspace, sample_haar, grassmann_distance
 from .width import chi_mean, delta_positivity_threshold, omega_hat_bound, width_extended, width_mc, zeta
+
+# decimal is imported by its two users below: at module level it adds
+# ~0.3 MB to every process that loads the package
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 __all__ = ["CriterionResult", "SuiteReport", "run_suite", "CRITERIA"]
 
@@ -199,12 +204,16 @@ def criterion_power_law_inclusion(seed, overrides):
 # -- 6 -----------------------------------------------------------------------
 
 def _decimal_zeta(n: int, k: int) -> Decimal:
+    from decimal import Decimal, getcontext
+
     getcontext().prec = 50
     ln_enk = 1 + (Decimal(n) / Decimal(k)).ln()
     return ((1 + 2 * ln_enk).ln() / (4 * ln_enk) + 1 / (24 * Decimal(k) ** 2 * ln_enk)).exp()
 
 
 def _decimal_threshold(beta: int) -> Decimal:
+    from decimal import Decimal, getcontext
+
     getcontext().prec = 50
     lnb = Decimal(beta).ln()
     ln_eb = 1 + lnb

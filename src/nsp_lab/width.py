@@ -7,9 +7,12 @@ by the Gaussian width w(K) = E sup_{x in K} g.x, which this module
 estimates by Monte Carlo.  Per draw, the supremum is exact for the l1
 cost: the top-k support of |g| attains it (rearrangement), and its value
 is the norm of one convex cone projection whose multiplier has a closed
-form.  Other penalties get a feasible line-search lower bound from every
-support of size k, in batches of a fixed number of penalty values.  The
-estimates asked of one draw sample share its per-draw suprema.
+form.  Other penalties get a feasible line-search lower bound over every
+support of size k: the top-k support of |g| first, then the others, each
+dropped as soon as it provably cannot beat the best value found, and for a
+penalty under the dominance rule without evaluating it at points outside
+the l1 cone.  The estimates asked of one draw sample share its per-draw
+suprema.
 
 Because the failure cone is a union of rays, the d-extended section is the
 angular d-neighborhood of K, so its per-draw supremum follows from the
@@ -27,7 +30,7 @@ import numpy as np
 
 from .config import ELEMENT_BUDGET
 from .measures import CostFunction
-from .nsp import _batches, _check_support_budget, _topk_total, robustness_constant
+from .nsp import _batches, _check_support_budget, _dominated, _topk_total, robustness_constant
 from .subspaces import as_rng
 
 Array = np.ndarray
@@ -88,81 +91,173 @@ def _sup_l1(g_abs: Array, k: int) -> Array:
 _WIDTH_SCALE_POINTS = 33
 _BISECT_STEPS = 30
 
+# The generic search retires a (support, draw) pair whose ceiling lies
+# this far below its draw's best value, relative to ||g||, and screens out
+# a point whose l1 margin lies this far outside the l1 cone, relative to
+# ||u||_1 (see _sup_generic for why neither changes a value).
+_RETIRE_MARGIN = 1e-9
+_L1_BAND = 1e-9
+
 
 def _sup_generic(g: Array, measure, k: int) -> Array:
     """Lower bound on the per-draw sup over the failure section of a general
-    penalty: start from each support-restricted direction (always inside the
-    cone) and line-search toward g along the sphere, keeping feasibility."""
-    n, total_draws = g.shape
-    masks = np.array([[i in T for i in range(n)] for T in itertools.combinations(range(n), k)])
+    penalty: from each support-restricted direction u0 (always inside the
+    cone) bisect toward ghat = g/||g|| along the sphere, keeping
+    feasibility; a draw's value is the best g.u found, capped at ||g||.
+
+    The search skips only work whose outcome is known, so every value is
+    that of the search over all C(n, k) supports, bit for bit:
+
+    1. A draw whose ghat is feasible has the value ||g||.
+    2. Every other draw first bisects its top-k support of |g|, the l1
+       maximizer and nearly always the winner, which gives it a floor.
+    3. Its other supports are then bisected in lockstep, and a pair retires
+       once its ceiling lies ``_RETIRE_MARGIN`` ||g|| below the draw's best
+       value.  g.u rises monotonically along the arc from u0 to ghat, so a
+       pair whose feasible fraction stays below h ends below the ceiling
+       ||g|| ((1-h) c + h) / sqrt((1-h)^2 + 2h(1-h) c + h^2), c = ghat.u0,
+       and a retired pair's value is below the maximum.
+    4. For a non-homogeneous measure under the dominance rule, a point is
+       first screened by its l1 margin 2 top_k(|u|) - ||u||_1.  With T the
+       top-k support of u, a = min_T |u_i| and r = F(sa)/(sa), the F-margin
+       at scale s is at most r s times the l1 margin, and the F-total at
+       most (n/k) r s ||u||_1.  A point more than ``_L1_BAND`` ||u||_1
+       outside the l1 cone therefore fails by more than ``_L1_BAND`` k/n of
+       its F-total at every scale, and is infeasible without an
+       evaluation.  The other points are checked at the smallest scale,
+       and those still undecided at the remaining scales.
+
+    Both margins lie far above rounding: g.u, the ceiling and the margins
+    are sums of n terms, each good to a few ulps, so their rounding is
+    about n 2^-52 of ||g||, ||u||_1 or the F-total, six orders below 1e-9
+    at small n and below 1e-9 k/n for every n under about 3000.
+
+    Pairs are bisected at most ``ELEMENT_BUDGET`` / n at a time, a retired
+    or finished pair's slot taken by the next, and the remaining scales
+    are checked in blocks of at most 2 ``ELEMENT_BUDGET`` penalty values.
+    Columns are gathered C-ordered, and no lone column is gathered from a
+    wider sample: numpy reduces a lone column, as it does a column of an
+    F-ordered array, in another order (see :func:`nsp._batches`).  A sample
+    of one draw is searched as the lone column it is.
+    """
+    n, total = g.shape
+    supports = np.array(list(itertools.combinations(range(n), k)))
+    n_sup = len(supports)
+    masks = np.zeros((n, n_sup))
+    masks[supports.T, np.arange(n_sup)] = 1.0
     if measure.is_homogeneous:
         scales = np.ones(1)
     else:
         scales = np.geomspace(1e-6, 1e6, _WIDTH_SCALE_POINTS)
-    out = np.full(total_draws, -np.inf)
-    # a bisection step makes a few passes over (scale, n, draw) arrays, so
-    # the search is bound by element passes; its batches are twice as
-    # wide as the budget, and every temporary it controls lives in buffers
-    # allocated once, at the widest batch, below
-    spans = list(_batches(total_draws, max(2, 2 * ELEMENT_BUDGET // (len(scales) * n))))
-    widest = max(stop - start for start, stop in spans)
-    flat = np.empty((3, n * widest))
-    scaled = np.empty(len(scales) * n * widest)
-    norms = np.empty(widest)
+    screen = not measure.is_homogeneous and _dominated(measure)
+    width = 1 if total == 1 else max(2, ELEMENT_BUDGET // n)
+    rest_width = max(2, 2 * ELEMENT_BUDGET // (len(scales) * n))
 
-    def feasible(u: Array, absu: Array, sc: Array) -> Array:
+    def cols(idx: Array) -> Array:
+        """Column indices to gather, a lone one doubled in a wider sample."""
+        return np.repeat(idx, 2) if len(idx) == 1 and width > 1 else idx
+
+    def feasible(u: Array) -> Array:
         """Columns of u whose top-k cost reaches half the total at some scale."""
-        np.abs(u, out=absu)
-        if measure.is_homogeneous:       # the lone scale 1.0 multiplies exactly
-            fv = measure.fn(absu[None, :, :])
-        else:
-            fv = measure.fn(np.multiply(scales[:, None, None], absu[None, :, :], out=sc))
-        top, tot = _topk_total(fv, k, axis=1)
-        return ((2.0 * top - tot) >= 0.0).any(axis=0)
+        absu = np.abs(u)
+        ok = np.zeros(u.shape[1], dtype=bool)
+        todo = np.arange(u.shape[1])
+        if screen:          # l1-infeasible points are F-infeasible at every scale
+            top, tot = _topk_total(absu, k, axis=0)
+            todo = cols(np.flatnonzero(2.0 * top - tot >= -_L1_BAND * tot))
+            if not len(todo):
+                return ok
+        first = np.take(absu, todo, axis=1) if screen else absu
+        if not measure.is_homogeneous:       # the lone scale 1.0 multiplies exactly
+            first = scales[0] * first
+        top, tot = _topk_total(measure.fn(first[None]), k, axis=1)
+        ok[todo] = hit = (2.0 * top - tot >= 0.0)[0]
+        rest = cols(todo[~hit]) if len(scales) > 1 else todo[:0]
+        for start, stop in _batches(len(rest), rest_width):
+            block = rest[start:stop]
+            fv = measure.fn(scales[1:, None, None] * np.take(absu, block, axis=1)[None])
+            top, tot = _topk_total(fv, k, axis=1)
+            ok[block] = ((2.0 * top - tot) >= 0.0).any(axis=0)
+        return ok
 
-    def mix_on_sphere(u0: Array, ghat: Array, frac: Array, u: Array, tmp: Array, nrm: Array):
-        """u = the normalized (1 - frac) u0 + frac ghat, with the bits of
-        np.linalg.norm's sqrt(sum(u * u))."""
-        np.multiply(u0, 1.0 - frac, out=u)
-        np.add(u, np.multiply(ghat, frac, out=tmp), out=u)
-        np.sqrt(np.add.reduce(np.multiply(u, u, out=tmp), axis=0, out=nrm), out=nrm)
-        np.divide(u, nrm, out=u)
+    def mix(u0: Array, gh: Array, frac: Array) -> Array:
+        """The normalized (1 - frac) u0 + frac gh, normalized with the bits
+        of np.linalg.norm's sqrt(sum(u * u))."""
+        u = u0 * (1.0 - frac)
+        u += gh * frac
+        u /= np.sqrt(np.add.reduce(u * u, axis=0))
+        return u
 
-    for start, stop in spans:
-        cols = stop - start
-        # contiguous (n, cols) views, laid out as fresh arrays would be
-        u, tmp, absu = (b[: n * cols].reshape(n, cols) for b in flat)
-        sc = scaled[: len(scales) * n * cols].reshape(len(scales), n, cols)
-        nrm = norms[:cols]
-        gc = g[:, start:stop]
-        gn = np.linalg.norm(gc, axis=0)
-        ghat = gc / gn
-        best = np.full(cols, -np.inf)
-        whole = feasible(ghat, absu, sc)
-        best = np.where(whole, gn, best)
-        for m in masks:
-            u0 = gc * m[:, None]
-            u0n = np.linalg.norm(u0, axis=0)
-            degenerate = u0n < 1e-12
-            if degenerate.any():
-                fallback = np.zeros_like(u0)
-                fallback[np.argmax(m)] = 1.0
-                u0 = np.where(degenerate[None, :], fallback, u0)
-                u0n = np.linalg.norm(u0, axis=0)
-            u0 = u0 / u0n
-            lo = np.zeros(cols)       # feasible fraction toward ghat
-            hi = np.ones(cols)
-            for _ in range(_BISECT_STEPS):
-                mid = 0.5 * (lo + hi)
-                mix_on_sphere(u0, ghat, mid, u, tmp, nrm)
-                ok = feasible(u, absu, sc)
-                lo = np.where(ok, mid, lo)
-                hi = np.where(ok, hi, mid)
-            mix_on_sphere(u0, ghat, lo, u, tmp, nrm)
-            best = np.maximum(best, np.add.reduce(np.multiply(gc, u, out=tmp), axis=0))
-        # rounding can put g.u a few ulps above ||g||, the sup over the sphere
-        out[start:stop] = np.minimum(best, gn)
-    return out
+    gn = np.linalg.norm(g, axis=0)
+    ghat = g / gn
+    best = np.full(total, -np.inf)
+
+    def search(count: int, pair_at) -> None:
+        """Bisect the (draw, support) pairs pair_at(0), ..., pair_at(count - 1)
+        toward their draws' ghat, at most ``width`` at a time, a retired or
+        finished pair's slot refilled with the next, and raise each draw's
+        best to its pairs' final g.u."""
+        # per pair: draw, feasible and infeasible fractions toward ghat,
+        # ghat.u0, steps taken, u0 and ghat
+        pool = [np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0),
+                np.empty(0, dtype=np.intp), np.empty((n, 0)), np.empty((n, 0))]
+        taken = 0
+        while taken < count or len(pool[0]):
+            if taken < count and len(pool[0]) < width:
+                q = cols(np.arange(taken, min(count, taken + width - len(pool[0]))))
+                taken = q[-1] + 1
+                new_d, new_s = pair_at(q)
+                v0 = np.take(g, new_d, axis=1) * np.take(masks, new_s, axis=1)
+                v0n = np.sqrt(np.add.reduce(v0 * v0, axis=0))
+                degenerate = np.flatnonzero(v0n < 1e-12)
+                if len(degenerate):      # start from the support's first axis
+                    v0[:, degenerate] = 0.0
+                    v0[supports[new_s[degenerate], 0], degenerate] = 1.0
+                    v0n[degenerate] = 1.0
+                v0 /= v0n
+                new_gh = np.take(ghat, new_d, axis=1)
+                fresh = [new_d, np.zeros(len(q)), np.ones(len(q)),
+                         np.add.reduce(new_gh * v0, axis=0), np.zeros(len(q), dtype=np.intp),
+                         v0, new_gh]
+                pool = [np.concatenate([a, b], axis=-1) for a, b in zip(pool, fresh)]
+            d, lo, hi, c, steps, u0, gh = pool
+            mid = 0.5 * (lo + hi)
+            ok = feasible(mix(u0, gh, mid))
+            lo = np.where(ok, mid, lo)
+            hi = np.where(ok, hi, mid)
+            steps += 1
+            done = steps == _BISECT_STEPS
+            if done.any():
+                i = cols(np.flatnonzero(done))
+                u = mix(np.take(u0, i, axis=1), np.take(gh, i, axis=1), lo[i])
+                np.maximum.at(best, d[i], np.add.reduce(np.take(g, d[i], axis=1) * u, axis=0))
+            # g.u at the infeasible fraction bounds the pair's final value
+            ceiling = gn[d] * ((1.0 - hi) * c + hi) / np.sqrt(
+                (1.0 - hi) ** 2 + 2.0 * hi * (1.0 - hi) * c + hi * hi)
+            keep = ~done & (ceiling >= best[d] - _RETIRE_MARGIN * gn[d])
+            pool = [d, lo, hi, c, steps, u0, gh]
+            if not keep.all():
+                i = cols(np.flatnonzero(keep))
+                pool = [np.take(a, i, axis=-1) for a in pool]
+
+    whole = np.zeros(total, dtype=bool)
+    for start, stop in _batches(total, width):
+        whole[start:stop] = feasible(ghat[:, start:stop])
+    live = np.flatnonzero(~whole)
+    # the lexicographic rank of each live draw's top-k support of |g|
+    top_k = np.sort(np.argpartition(-np.abs(g[:, live]), k - 1, axis=0)[:k], axis=0)
+    binom = np.array([[math.comb(i, j) for j in range(k + 1)] for i in range(n)])
+    top = n_sup - 1 - binom[n - 1 - top_k, k - np.arange(k)[:, None]].sum(axis=0)
+    search(len(live), lambda q: (live[q], top[q]))
+    others = n_sup - 1
+
+    def other_pair(q: Array):
+        s = q % others
+        return live[q // others], s + (s >= top[q // others])
+
+    search(len(live) * others, other_pair)
+    # rounding can put g.u a few ulps above ||g||, the sup over the sphere
+    return np.where(whole, gn, np.minimum(best, gn))
 
 
 # The last int-seeded sample of _draw_sups and its key: (measure, (n, k,
@@ -200,7 +295,12 @@ def _draw_sups(cost: CostFunction, k: int, draws: int, seed):
     if k == n:
         sample = norms, norms, "whole_sphere", False
     elif not generic:
-        sample = _sup_l1(np.abs(g), k), norms, "support_projection", False
+        # in blocks of draws, so that no temporary grows with the sample;
+        # every draw is reduced on its own and no block is a lone column
+        sup = np.empty(draws)
+        for start, stop in _batches(draws, max(2, ELEMENT_BUDGET // n)):
+            sup[start:stop] = _sup_l1(np.abs(g[:, start:stop]), k)
+        sample = sup, norms, "support_projection", False
     else:
         sample = _sup_generic(g, measure, k), norms, "multistart", True
     for arr in sample[:2]:
@@ -275,10 +375,13 @@ def gordon_bound(w: float, m: int) -> float:
     """Escape probability lower bound 1 - 2.5 exp(-(m/sqrt(m+1) - w)^2 / 18).
 
     Returns 0 when the width condition w < sqrt(m) fails or when the raw
-    expression is negative, so parameter sweeps stay total.
+    expression is negative, so parameter sweeps stay total.  A width is
+    never negative, and a NaN one is rejected rather than read as 0.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
+    if not w >= 0:
+        raise ValueError(f"need a width w >= 0, got {w}")
     if not w < math.sqrt(m):
         return 0.0
     raw = 1.0 - 2.5 * math.exp(-((m / math.sqrt(m + 1.0) - w) ** 2) / 18.0)
@@ -309,8 +412,11 @@ def omega_hat_bound(
     condition w + d sqrt(n) < sqrt(m) fails the bound is 0 and the flag
     records it.  The Monte Carlo width is :func:`width_mc`'s, whose
     sample of one (measure object, k, draws, int seed) is computed once,
-    so ``measure.fn`` must be pure.
+    so ``measure.fn`` must be pure.  ``d`` and an explicit width must be
+    finite and non-negative.
     """
+    if not (math.isfinite(d) and d >= 0):
+        raise ValueError(f"need finite d >= 0, got {d}")
     n = cost.dimension
     if width_source == "auto":
         width_source = "rv" if cost.measure.homogeneity_degree == 1.0 else "mc"
@@ -322,6 +428,8 @@ def omega_hat_bound(
         w = width_mc(cost, k, draws=draws, seed=seed).mean
     else:
         w = float(width_source)
+        if not (math.isfinite(w) and w >= 0):
+            raise ValueError(f"need a finite explicit width >= 0, got {width_source!r}")
         width_source = "explicit"
     effective = w + d * math.sqrt(n)
     ok = effective < math.sqrt(m)

@@ -8,7 +8,7 @@ import pytest
 
 from nsp_lab import width
 from nsp_lab.measures import CostFunction, builtin_measure, parse_measure
-from nsp_lab.nsp import _topk_total
+from nsp_lab.nsp import _dominated, _topk_total
 from nsp_lab.width import (
     chi_mean,
     delta_margin,
@@ -311,6 +311,92 @@ class TestGenericKernel:
             got = width._sup_generic(g[:, :draws], measure, k)
             assert np.array_equal(got, reference_sup_generic(g[:, :draws], measure, k))
 
+    @pytest.mark.parametrize("spec", ["exp_ce1", "lp(p=0.5)", "exp_ce1 unscreened"])
+    @pytest.mark.parametrize("n, k", [(6, 1), (8, 2)])
+    def test_many_draws_match_the_reference(self, spec, n, k):
+        # at n >= 8 a column reduced in another order (a lone or F-ordered
+        # one) moves last bits; the unscreened copy of exp_ce1 declares no
+        # monotonicity, so the kernel checks every point at every scale
+        measure = parse_measure(spec.split()[0])
+        if spec.endswith("unscreened"):
+            measure = dataclasses.replace(measure, non_decreasing=None)
+        g = np.random.default_rng(53).standard_normal((n, 200))
+        assert np.array_equal(width._sup_generic(g, measure, k),
+                              reference_sup_generic(g, measure, k))
+
+    @pytest.mark.parametrize("spec", ["exp_ce1", "lp(p=0.5)", "mcp_zap(alpha=2)", "scad"])
+    def test_extreme_and_degenerate_draws_match_the_reference(self, spec):
+        measure = parse_measure(spec)
+        rng = np.random.default_rng(59)
+        g = rng.standard_normal((10, 24))
+        g[:, 0] *= 1e-8
+        g[:, 1] *= 1e8
+        g[:, 2:6] *= np.array([1e-8, 1e8, 1e-8, 1e8])[None, :] ** rng.integers(0, 2, (10, 4))
+        g[:2, 6] = 0.0      # the support {0, 1} of draw 6 is degenerate
+        g[2:, 7] = 0.0      # draw 7 lies on that support
+        g[[0, 3], 8] = 0.0  # and supports of draw 8 with one zero coordinate
+        assert np.array_equal(width._sup_generic(g, measure, 2),
+                              reference_sup_generic(g, measure, 2))
+
+    @pytest.mark.parametrize("spec", ["exp_ce1", "lp(p=0.5)", "mcp_zap(alpha=2)", "scad"])
+    @pytest.mark.parametrize("n, k", [(8, 2), (6, 1)])
+    def test_tied_supports_match_the_reference(self, spec, n, k):
+        # a coordinate tied in magnitude with the largest makes a second
+        # support a mirror of the top one; its value differs from the top
+        # support's by rounding alone, so only a pair kept to its last
+        # step gives the maximum bit for bit
+        measure = parse_measure(spec)
+        rng = np.random.default_rng(67)
+        g = rng.standard_normal((n, 120))
+        top = np.abs(g).argmax(axis=0)
+        other = (top + 1 + rng.integers(0, n - 1, g.shape[1])) % n
+        g[other, np.arange(g.shape[1])] = -g[top, np.arange(g.shape[1])]
+        assert np.array_equal(width._sup_generic(g, measure, k),
+                              reference_sup_generic(g, measure, k))
+
+    @pytest.mark.parametrize("spec", ["exp_ce1", "lp(p=0.5)", "mcp_zap(alpha=2)", "scad"])
+    def test_a_lone_live_draw_matches_the_reference(self, spec):
+        # draw 0 is feasible as it stands, so the search bisects one draw of
+        # a sample of two, which must not be reduced as a lone column
+        measure = parse_measure(spec)
+        for seed in range(4):
+            g = np.random.default_rng(seed).standard_normal((9, 2))
+            g[:, 0] = 1e-3 * g[:, 0] + 10.0 * (np.arange(9) < 2)
+            assert np.array_equal(width._sup_generic(g, measure, 2),
+                                  reference_sup_generic(g, measure, 2))
+
+    @pytest.mark.parametrize("spec", ["exp_ce1", "lp(p=0.5)", "mcp_zap(alpha=2)", "scad"])
+    @pytest.mark.parametrize("n, k", [(8, 2), (9, 1)])
+    def test_a_lone_draw_matches_the_reference(self, spec, n, k):
+        # a sample of one draw is reduced as a lone column throughout
+        measure = parse_measure(spec)
+        for seed in range(3):
+            g = np.random.default_rng(seed).standard_normal((n, 1))
+            assert np.array_equal(width._sup_generic(g, measure, k),
+                                  reference_sup_generic(g, measure, k))
+
+
+class TestGenericPruning:
+    def test_evaluates_a_tenth_of_the_full_search(self):
+        # the full search evaluates 11,468,160 penalty values on this sample:
+        # 6 supports x 30 steps x 33 scales x 6 coordinates x 320 draws, and
+        # the ghat check
+        measure, calls = counted("exp_ce1")
+        width_mc(CostFunction(measure, 6), 1, draws=320, seed=1)
+        assert 0 < sum(calls) <= 11_468_160 // 10
+
+    @pytest.mark.parametrize("spec", ["exp_ce1", "lp(p=0.5)", "mcp_zap(alpha=2)", "scad"])
+    @pytest.mark.parametrize("n, k", [(6, 1), (6, 2), (8, 2)])
+    def test_below_the_l1_sup(self, spec, n, k):
+        # every F-failure is an l1 failure (dominance), so the l1 failure
+        # cone holds the F one and bounds each draw's sup
+        measure = parse_measure(spec)
+        assert _dominated(measure)
+        g = np.random.default_rng(61).standard_normal((n, 150))
+        norms = np.linalg.norm(g, axis=0)
+        generic = width._sup_generic(g, measure, k)
+        assert (generic <= width._sup_l1(np.abs(g), k) + 1e-12 * norms).all()
+
 
 @pytest.mark.parametrize("spec", ["exp_ce1", "lp(p=0.5)", "mcp_zap(alpha=2)", "scad"])
 @pytest.mark.parametrize("n, k", [(4, 1), (6, 2)])
@@ -465,6 +551,14 @@ class TestGordonBound:
         assert 1 - 2.5 * math.exp(-16.0 / 90.0) < 0
         assert gordon_bound(0.0, 4) == 0.0
 
+    @pytest.mark.parametrize("w", [math.nan, -1e-300, -100.0])
+    def test_rejects_an_impossible_width(self, w):
+        with pytest.raises(ValueError):
+            gordon_bound(w, 4)
+
+    def test_an_infinite_width_is_vacuous(self):
+        assert gordon_bound(math.inf, 4) == 0.0
+
     def test_monotonicity(self):
         ms = [20, 50, 100, 400, 1000]
         vals = [gordon_bound(1.0, m) for m in ms]
@@ -495,6 +589,21 @@ class TestOmegaHatBound:
     def test_d_zero_reduces_to_plain_escape(self):
         res = omega_hat_bound(l1_cost(1000), m=950, k=10, d=0.0, width_source="rv")
         assert res.bound == pytest.approx(gordon_bound(rv_bound(1000, 10), 950), abs=1e-15)
+
+    @pytest.mark.parametrize("d", [-math.inf, math.inf, math.nan, -0.1])
+    def test_rejects_a_bad_radius(self, d):
+        with pytest.raises(ValueError, match="finite d >= 0"):
+            omega_hat_bound(l1_cost(6), m=4, k=1, d=d, width_source="rv")
+
+    @pytest.mark.parametrize("source", ["-5", "nan", "inf", "-inf", "-0.001"])
+    def test_rejects_a_bad_explicit_width(self, source):
+        with pytest.raises(ValueError, match="explicit width"):
+            omega_hat_bound(l1_cost(6), m=4, k=1, d=0.1, width_source=source)
+
+    def test_accepts_an_explicit_width(self):
+        res = omega_hat_bound(l1_cost(1000), m=950, k=10, d=0.0, width_source="0")
+        assert (res.width_source, res.width_value) == ("explicit", 0.0)
+        assert res.bound == gordon_bound(0.0, 950)
 
     def test_mc_source(self):
         res = omega_hat_bound(l1_cost(6), m=4, k=1, d=0.0, width_source="mc",
