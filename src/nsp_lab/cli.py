@@ -173,6 +173,8 @@ def _cmd_recover(args) -> int:
     y = read_matrix_csv(args.y).ravel()
     eps = args.eps if args.eps is not None else 0.0
     k = args.k if args.k is not None else max(1, a.shape[0] // 2)
+    if eps != 0.0 and args.method is not None:
+        raise ValueError("--method applies to noiseless recovery (--eps 0) only")
     solve = solve_noiseless if eps == 0.0 else solve_noisy
     result = solve(RecoveryProblem(a, y, eps, cost, k), seed=args.seed, **_given(args, "method"))
     row = {
@@ -323,7 +325,8 @@ _SUBCOMMANDS = {
     "recover": (_cmd_recover, "penalty-minimizing recovery", "json", (
         _opt("matrix"), _opt("y", help="CSV file holding the measurement vector"),
         _opt("measure"), _opt("eps", float), _opt("k", int),
-        _opt("method", choices=("descent", "irls", "enumerate")))),
+        _opt("method", choices=("descent", "irls", "enumerate"),
+             help="noiseless solver, with --eps 0 only"))),
     "width": (_cmd_width, "Monte Carlo Gaussian width of the failure section", "json", (
         _opt("measure"), _opt("n", int), _opt("k", int), _opt("draws", int),
         _opt("d", float, help="also estimate the d-extended width"))),

@@ -677,12 +677,10 @@ class RobustnessProbe:
     ``certified_radius`` of the subspace, so no perturbation of relative
     size below d violates the inequality, for l1 and every measure it
     dominates.  ``passed_at_resolution`` is one-sided: no violation
-    surfaced within the budget.  The set a pass refers to is a convention,
-    surfaced in ``set_convention`` rather than silently chosen: the
-    violation-free set at radius d contains the d-interior of the
-    exact-recovery set and is contained in its d/(1+d)-interior, so a
-    (true) pass certifies interior membership only at the smaller radius
-    ``implied_interior_radius``.
+    surfaced within the budget.  The violation-free set at radius d
+    contains the d-interior of the exact-recovery set and is contained in
+    its d/(1+d)-interior, so a (true) pass certifies interior membership
+    only at the smaller radius d/(1+d).
     """
 
     d: float
@@ -690,20 +688,17 @@ class RobustnessProbe:
     violation: Violation | None
     search_budget: int
     evaluations: int
-    set_convention: str = "violation_free_at_resolution"
     certified_radius: float = 0.0
 
     @property
     def violated(self) -> bool:
         return self.outcome == "violated"
 
-    @property
-    def implied_interior_radius(self) -> float:
-        return self.d / (1.0 + self.d)
-
 
 def _attack_candidates(z, measure, k, radius):
-    """Perturbation starts: sign-aligned pushes, coordinate erasures."""
+    """Perturbation starts as the rows of an (S, n) array, each clipped to
+    the radius: no perturbation first, then sign-aligned pushes and
+    coordinate erasures."""
     n = z.size
     f = measure.fn(np.abs(z))
     if k <= 0:
@@ -746,48 +741,36 @@ def _attack_candidates(z, measure, k, radius):
         e = np.zeros(n)
         e[i] = sgn[i] * radius
         cands.append(e)
-    return cands
+    starts = np.array(cands)
+    nrm = np.linalg.norm(starts, axis=1)
+    over = nrm > radius
+    starts[over] *= (radius / nrm[over])[:, None]
+    return starts
 
 
 def _attack_quick(z, measure, k, radius):
     """Evaluate the closed-form perturbation starts only, in one batch.
     The first start of highest deficit wins; no perturbation wins ties."""
-    starts = [np.zeros(z.size)]
-    for n0 in _attack_candidates(z, measure, k, radius):
-        nrm = np.linalg.norm(n0)
-        starts.append(n0 * (radius / nrm) if nrm > radius else n0)
-    vals = _deficit_rows(z + np.array(starts), measure, k)
+    starts = _attack_candidates(z, measure, k, radius)
+    vals = _deficit_rows(z + starts, measure, k)
     i = int(np.argmax(vals))
     return float(vals[i]), starts[i], len(starts)
 
 
 def _attack_ascend(z, measure, k, radius, n0, steps):
     """Projected gradient ascent of the deficit over the perturbation ball.
-
-    The 2n central differences of a step are evaluated as one batch of
-    rows that reproduces a coordinate loop stepping ``cur[i]`` by +h, -2h
-    and +h in place: the coordinates before i have already taken that
-    round trip, which rounding need not return to where it started, so row
-    i holds the drifted values before i, the stepped value at i and the
-    untouched ones after it, and ``cur`` ends the step drifted.
-    """
+    The 2n central differences of a step, at cur + h e_i and cur - h e_i,
+    are evaluated as one batch."""
     n = z.size
     cur = n0.copy()
     val = _deficit_raw(z + cur, measure, k)
     evals = 1
     step = 0.25 * radius
     h = 1e-6 * radius
-    # per (row, coordinate): 0 untouched, 1 stepped up, 2 stepped down, 3 drifted
-    lower = np.tri(n, k=-1, dtype=int) * 3
-    pick = np.vstack([lower + np.eye(n, dtype=int), lower + 2 * np.eye(n, dtype=int)])
-    coord = np.arange(n)
+    offsets = np.vstack([h * np.eye(n), -h * np.eye(n)])
     for _ in range(steps):
-        up = cur + h
-        dn = up - 2 * h
-        drift = dn + h
-        vals = _deficit_rows(z + np.stack([cur, up, dn, drift])[pick, coord], measure, k)
+        vals = _deficit_rows(z + (cur + offsets), measure, k)
         grad = (vals[:n] - vals[n:]) / (2 * h)
-        cur = drift
         evals += 2 * n
         gn = np.linalg.norm(grad)
         if gn == 0:
@@ -838,8 +821,7 @@ def _rrc_from_scan(sub, cost, k, d, budget, scan) -> RobustnessProbe:
     sound_radius = _sound_radius(sub, measure, k, scan)
 
     if d <= sound_radius * shrink:
-        return RobustnessProbe(d, "passed_sound", None, budget, evals, "violation_free",
-                               sound_radius)
+        return RobustnessProbe(d, "passed_sound", None, budget, evals, sound_radius)
 
     def outcome(name, violation=None):
         return RobustnessProbe(d, name, violation, budget, evals, certified_radius=sound_radius)
@@ -937,10 +919,6 @@ class Ce1Membership:
 
     verdict: str   # "interior" | "boundary" | "outside"
     margin: float  # sum|g| - 2 max|g| for the unit generator
-
-    @property
-    def in_omega(self) -> bool:
-        return self.verdict != "outside"
 
 
 def ce1_membership(sub: Subspace) -> Ce1Membership:

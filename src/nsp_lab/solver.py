@@ -21,7 +21,7 @@ import numpy as np
 from .config import SUPPORT_ENUMERATION_CAP, TOL
 from .measures import CostFunction
 from .nsp import Violation, rrc_probe
-from .nsp import _attack_candidates, _deficit_raw, _slope, _support_of
+from .nsp import _attack_candidates, _deficit_rows, _slope, _support_of
 from .subspaces import MeasurementMatrix, as_rng, null_space
 
 Array = np.ndarray
@@ -464,7 +464,6 @@ def _projected_descent(problem, radius, seed, starts, iters, extra_starts):
 
 def solve_noisy(
     problem: RecoveryProblem,
-    method: str = "descent",
     seed: int = 0,
     starts: int = 24,
     iters: int = 250,
@@ -490,8 +489,6 @@ def solve_noisy(
     """
     if problem.epsilon <= 0:
         raise ValueError("noisy solver requires epsilon > 0")
-    if method != "descent":
-        raise ValueError(f"unknown method {method!r}")
     a = problem.matrix
     y = problem.y
     cost = problem.cost
@@ -509,7 +506,7 @@ def solve_noisy(
                                  _kkt_residual(a, y, x, lam, radius))
     if result is None:
         x, v = _projected_descent(problem, radius, seed, starts, iters, extra_starts)
-        result = SolveResult(x, v, 0.0, method, iters, note=fallback
+        result = SolveResult(x, v, 0.0, "descent", iters, note=fallback
                              + "projected multistart descent; global optimality not guaranteed")
 
     result.residual = float(np.linalg.norm(a.entries @ result.x_hat - y))
@@ -591,20 +588,14 @@ def _denullify_witness(a, cost, k, d, witness: Violation) -> Violation:
     z = witness.z
     measure = cost.measure
     radius = d * float(np.linalg.norm(z)) * (1.0 - TOL.strict_shrink)
-    best = None
-    best_eps = 0.0
-    for n0 in _attack_candidates(z, measure, k, radius):
-        nrm = np.linalg.norm(n0)
-        if nrm > radius:
-            n0 = n0 * (radius / nrm)
-        if _deficit_raw(z + n0, measure, k) < 0.0:
-            continue
-        eps = float(np.linalg.norm(a.entries @ n0))
-        if eps > best_eps:
-            best_eps, best = eps, n0
-    if best is None or best_eps <= 1e-12 * scale:
+    starts = _attack_candidates(z, measure, k, radius)
+    deficits = _deficit_rows(z + starts, measure, k)
+    # the noise image of each violating start; the first largest wins
+    eps = np.where(deficits >= 0.0, np.linalg.norm(starts @ a.entries.T, axis=1), 0.0)
+    i = int(np.argmax(eps))
+    if eps[i] <= 1e-12 * scale:
         raise ValueError("degenerate witness: the perturbation lies in the null space")
-    return Violation(z, best, _support_of(z + best, measure, k), _deficit_raw(z + best, measure, k))
+    return Violation(z, starts[i], _support_of(z + starts[i], measure, k), float(deficits[i]))
 
 
 @dataclass

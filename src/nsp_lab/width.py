@@ -135,10 +135,10 @@ def _sup_generic(g: Array, measure, k: int) -> Array:
     Pairs are bisected at most ``ELEMENT_BUDGET`` / n at a time, a retired
     or finished pair's slot taken by the next, and the remaining scales
     are checked in blocks of at most 2 ``ELEMENT_BUDGET`` penalty values.
-    Columns are gathered C-ordered, and no lone column is gathered from a
-    wider sample: numpy reduces a lone column, as it does a column of an
-    F-ordered array, in another order (see :func:`nsp._batches`).  A sample
-    of one draw is searched as the lone column it is.
+    Columns are gathered C-ordered, and no lone column is gathered: numpy
+    reduces a lone column, as it does a column of an F-ordered array, in
+    another order (see :func:`nsp._batches`).  ``g`` holds at least two
+    draws; :func:`_draw_sups` passes a sample of one draw doubled.
     """
     n, total = g.shape
     supports = np.array(list(itertools.combinations(range(n), k)))
@@ -150,12 +150,12 @@ def _sup_generic(g: Array, measure, k: int) -> Array:
     else:
         scales = np.geomspace(1e-6, 1e6, _WIDTH_SCALE_POINTS)
     screen = not measure.is_homogeneous and _dominated(measure)
-    width = 1 if total == 1 else max(2, ELEMENT_BUDGET // n)
+    width = max(2, ELEMENT_BUDGET // n)
     rest_width = max(2, 2 * ELEMENT_BUDGET // (len(scales) * n))
 
     def cols(idx: Array) -> Array:
-        """Column indices to gather, a lone one doubled in a wider sample."""
-        return np.repeat(idx, 2) if len(idx) == 1 and width > 1 else idx
+        """Column indices to gather, a lone one doubled."""
+        return np.repeat(idx, 2) if len(idx) == 1 else idx
 
     def feasible(u: Array) -> Array:
         """Columns of u whose top-k cost reaches half the total at some scale."""
@@ -291,18 +291,21 @@ def _draw_sups(cost: CostFunction, k: int, draws: int, seed):
     if key is not None and held is not None and held[0] is measure and held[1] == key:
         return held[2]
     g = as_rng(seed).standard_normal((n, draws))
+    # numpy sums a lone column in another order than a column of a wider
+    # sample, so a sample of one draw is reduced as a doubled column
+    g = np.repeat(g, 2, axis=1) if draws == 1 else g
     norms = np.linalg.norm(g, axis=0)
     if k == n:
-        sample = norms, norms, "whole_sphere", False
+        sup, label = norms, "whole_sphere"
     elif not generic:
         # in blocks of draws, so that no temporary grows with the sample;
         # every draw is reduced on its own and no block is a lone column
-        sup = np.empty(draws)
-        for start, stop in _batches(draws, max(2, ELEMENT_BUDGET // n)):
+        sup, label = np.empty(g.shape[1]), "support_projection"
+        for start, stop in _batches(g.shape[1], max(2, ELEMENT_BUDGET // n)):
             sup[start:stop] = _sup_l1(np.abs(g[:, start:stop]), k)
-        sample = sup, norms, "support_projection", False
     else:
-        sample = _sup_generic(g, measure, k), norms, "multistart", True
+        sup, label = _sup_generic(g, measure, k), "multistart"
+    sample = sup[:draws], norms[:draws], label, generic
     for arr in sample[:2]:
         arr.setflags(write=False)
     if key is not None:

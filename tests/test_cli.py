@@ -223,6 +223,15 @@ class TestExitCodes:
                          "--measure", "l1", "--k", "1", "--eps", eps]) == 2
             assert "finite" in capsys.readouterr().err
 
+    def test_noisy_recover_takes_no_method(self, null_111_matrix, tmp_path, capsys):
+        # --method names a noiseless solver; the noisy solve has one
+        y_path = tmp_path / "y.csv"
+        write_matrix_csv(y_path, np.array([[1.0, 2.0]]))
+        assert main(["recover", "--matrix", str(null_111_matrix), "--y", str(y_path),
+                     "--measure", "l1", "--k", "1", "--eps", "0.1", "--method", "descent"]) == 2
+        out = capsys.readouterr()
+        assert "--eps 0" in out.err and out.out == ""
+
     def test_infeasible_solve_is_usage_error(self, null_111_matrix, tmp_path, capsys,
                                              monkeypatch):
         y_path = tmp_path / "y.csv"

@@ -133,7 +133,6 @@ class TestCertifiedRadius:
         sub = Subspace.from_generator(np.array([1.0, 1.0, 1.0]))
         probe = rrc_probe(sub, CostFunction(L1, 3), 1, 1.0 / 3.0 - 1e-9)
         assert probe.outcome == "passed_sound"
-        assert probe.set_convention == "violation_free"
         assert rrc_probe(sub, CostFunction(L1, 3), 1, 0.34).violated
 
     def test_forced_attack_finds_nothing_within_the_radius(self):

@@ -368,12 +368,31 @@ class TestGenericKernel:
     @pytest.mark.parametrize("spec", ["exp_ce1", "lp(p=0.5)", "mcp_zap(alpha=2)", "scad"])
     @pytest.mark.parametrize("n, k", [(8, 2), (9, 1)])
     def test_a_lone_draw_matches_the_reference(self, spec, n, k):
-        # a sample of one draw is reduced as a lone column throughout
-        measure = parse_measure(spec)
+        # a one-draw sample gives its draw the supremum and norm that the
+        # reference gives it inside a wider sample, at n >= 8 too, where
+        # numpy sums a lone column in another order
+        cost = CostFunction(parse_measure(spec), n)
         for seed in range(3):
-            g = np.random.default_rng(seed).standard_normal((n, 1))
-            assert np.array_equal(width._sup_generic(g, measure, k),
-                                  reference_sup_generic(g, measure, k))
+            sample = lone_draw_in_a_sample(n, seed)
+            ref = reference_sup_generic(sample, cost.measure, k)[0]
+            sup, norms, _, _ = width._draw_sups(cost, k, 1, seed)
+            assert (sup[0], norms[0]) == (ref, np.linalg.norm(sample, axis=0)[0])
+
+    @pytest.mark.parametrize("n, k", [(8, 2), (9, 1), (8, 8)])
+    def test_a_lone_l1_draw_is_the_same_in_a_sample(self, n, k):
+        cost = CostFunction(parse_measure("l1"), n)
+        for seed in range(3):
+            sample = lone_draw_in_a_sample(n, seed)
+            norms = np.linalg.norm(sample, axis=0)
+            ref = norms[0] if k == n else width._sup_l1(np.abs(sample), k)[0]
+            sup, lone_norms, _, _ = width._draw_sups(cost, k, 1, seed)
+            assert (sup[0], lone_norms[0]) == (ref, norms[0])
+
+
+def lone_draw_in_a_sample(n, seed):
+    """The draw of a one-draw sample at ``seed``, followed by four others."""
+    g = np.random.default_rng(seed).standard_normal((n, 1))
+    return np.hstack([g, np.random.default_rng(100 + seed).standard_normal((n, 4))])
 
 
 class TestGenericPruning:
