@@ -11,6 +11,8 @@ evidence, never a proof, and always records the budget it was run with.
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -69,6 +71,14 @@ class SparsenessMeasure:
     @property
     def is_homogeneous(self) -> bool:
         return self.homogeneity_degree is not None
+
+    @functools.cached_property
+    def slope_at_zero(self) -> float | None:
+        """The limit c of F(t)/t as t -> 0+ when it converges numerically
+        to a finite c > 0, else None; worked out once per measure."""
+        lim = _limit_at_zero(self, 1.0)
+        ok = lim.status == "converged" and 0.0 < lim.value < math.inf
+        return lim.value if ok else None
 
     def spec_string(self) -> str:
         """Round-trippable ``name(key=value,...)`` form used by the CLI."""

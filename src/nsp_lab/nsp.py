@@ -20,6 +20,17 @@ vertex lines, which are enumerated.  Every radius up to
 r(N) = (1 - 2 gamma) / (sqrt(n) kappa) is then violation-free, for l1 and,
 by the dominance rule, for every non-decreasing F with F(t)/t
 non-increasing.
+
+Such an F whose F(t)/t also tends to a finite c > 0 at 0+ (the limit
+``SparsenessMeasure.slope_at_zero``; ``exp_ce1``, ``mcp_zap``, ``scad``)
+takes l1's certificates: an F-violation at u is an l1 violation there,
+and an l1 deficit delta > 0 at u is an F-deficit c t delta + o(t) at t u.
+So theta_F = theta_l1, exact as a supremum that t z approaches as t -> 0
+(``nsc`` method ``l1_dominance``), the robust radii agree, and the
+verdicts are l1's except inside the band around 2 gamma = 1, where F's own
+search decides.  A failure is reported only once its l1 witness, scaled
+down the ladder 1, 1/10, ..., 1e-15, has an F-deficit >= 0 by direct
+evaluation.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from .config import (
     SUPPORT_ENUMERATION_CAP,
     TOL,
 )
-from .measures import CostFunction, SparsenessMeasure
+from .measures import CostFunction, SparsenessMeasure, builtin_measure
 from .subspaces import Subspace, as_rng
 
 Array = np.ndarray
@@ -76,6 +87,8 @@ BOUNDARY_CANDIDATES = 25  # log-grid witness coordinates per axis of the region 
 
 _EPS = float(np.finfo(float).eps)
 _VERTEX_CHUNK = 4096      # (l-1)-subsets whose vertex lines are solved in one batch
+_LADDER = 10.0 ** -np.arange(16)   # scales 1, 1/10, ..., 1e-15 at which an l1 witness is tried
+_L1 = builtin_measure("l1")
 
 
 def _check_support_budget(n: int, k: int) -> None:
@@ -261,7 +274,10 @@ class _Scan:
     ``sound_radius`` is the certified radius, 0.0 when nothing is
     certified; None until the first probe needs it (:func:`_sound_radius`).
     ``search``, set beside the exact l1 enumeration, runs the search once
-    for the probe's attack beyond the certified radius.
+    for the probe's attack beyond the certified radius.  ``band_search``
+    marks the l1 scan of a measure routed to l1 (:func:`_l1_routed`): it
+    runs the measure's own search once, which decides inside the band
+    around 2 gamma = 1.
     """
 
     cands: list            # ranked _Candidate, best first
@@ -269,6 +285,7 @@ class _Scan:
     exact: bool
     sound_radius: float | None
     search: Callable[[], tuple[list, int]] | None = None
+    band_search: Callable[[], tuple[list, int]] | None = None
 
 
 def _dominated(measure: SparsenessMeasure) -> bool:
@@ -277,6 +294,39 @@ def _dominated(measure: SparsenessMeasure) -> bool:
     a = min_T |u_i|, sum_T F <= (F(a)/a) ||u_T||_1 and
     sum_{T^c} F >= (F(a)/a) ||u_{T^c}||_1."""
     return measure.non_decreasing is True and measure.ratio_nonincreasing is True
+
+
+def _l1_routed(measure: SparsenessMeasure) -> bool:
+    """A non-homogeneous F under the dominance rule whose F(t)/t tends to a
+    finite c > 0 at 0+ (``slope_at_zero``) takes l1's certificates (see the
+    module docstring)."""
+    return (not measure.is_homogeneous and _dominated(measure)
+            and measure.slope_at_zero is not None)
+
+
+def _rescaled(z: Array, e: Array, measure: SparsenessMeasure, k: int):
+    """(t z, t e) for the largest t on the ladder 1, 1/10, ..., 1e-15 at
+    which t z + t e has an F-deficit >= 0 by direct evaluation, or None."""
+    tz, te = _LADDER[:, None] * z, _LADDER[:, None] * e
+    hit = np.flatnonzero(_deficit_rows(tz + te, measure, k) >= 0.0)
+    return (tz[hit[0]], te[hit[0]]) if hit.size else None
+
+
+def _l1_decision(scan, measure, k):
+    """The verdict of a routed scan off the band: ("holds_strict", top
+    vertex line) when 2 gamma - 1 <= -band, by dominance; ("fails",
+    witness) when 2 gamma - 1 >= band and a vertex line of q >= 1/2 + band,
+    scaled down the ladder, verifies.  None otherwise: the measure's own
+    search decides."""
+    best = scan.cands[0]
+    if 2.0 * best.q - 1.0 <= -TOL.boundary_margin:
+        return "holds_strict", best.direction
+    for cand in scan.cands:
+        if 2.0 * cand.q - 1.0 >= TOL.boundary_margin:
+            scaled = _rescaled(cand.direction, np.zeros(cand.direction.size), measure, k)
+            if scaled is not None:
+                return "fails", scaled[0]
+    return None
 
 
 def _vertex_lines(basis: Array):
@@ -336,7 +386,9 @@ def _scan_subspaces(subs, measure, k, rngs) -> list:
     """One scan per subspace, each equal to the scan of that subspace alone.
 
     A 1-homogeneous penalty (F(1)|t|) takes the exact l1 vertex enumeration
-    while C(n, l-1) is within the enumeration cap.  Otherwise the search is,
+    while C(n, l-1) is within the enumeration cap, and so does, in every
+    dimension, a measure routed to l1 (:func:`_l1_routed`), whose own
+    search waits in ``band_search``.  Otherwise the search is,
     in dim 1, the generator itself; in dim 2, a half-circle angle grid with
     golden-section refinement of the best distinct peaks; in dim >= 3,
     random unit directions with hill climbing from the best starts, on the
@@ -345,11 +397,15 @@ def _scan_subspaces(subs, measure, k, rngs) -> list:
     """
     scans: list = [None] * len(subs)
     shapes: dict = {}
+    routed = _l1_routed(measure)
     for i, (sub, rng) in enumerate(zip(subs, rngs)):
-        if measure.homogeneity_degree == 1.0 and sub.dim > 1 and _enumerable(sub):
+        if (routed or measure.homogeneity_degree == 1.0 and sub.dim > 1) and _enumerable(sub):
             scans[i] = _l1_vertex_scan(sub.basis, k)
             scans[i].search = functools.cache(
-                functools.partial(_search_subspace, sub, measure, k, rng))
+                functools.partial(_search_subspace, sub, _L1 if routed else measure, k, rng))
+            if routed:
+                scans[i].band_search = functools.cache(
+                    functools.partial(_search_subspace, sub, measure, k, rng))
         elif sub.dim <= 2:
             shapes.setdefault((sub.ambient_dim, sub.dim), []).append(i)
         else:
@@ -365,9 +421,10 @@ def _lockstep_block(measure, n: int, dim: int) -> int:
     """Subspaces per :func:`_scan_subspaces` call in a Monte Carlo batch:
     the refinements evaluate one row of n coordinates per line, or
     REFINE_PEAKS per plane, at every scale, and a block keeps that within
-    ELEMENT_BUDGET."""
+    ELEMENT_BUDGET.  A measure routed to l1 is sized as l1 is."""
     rows = 1 if dim == 1 else REFINE_PEAKS
-    return max(1, ELEMENT_BUDGET // (_scale_grid(measure).size * rows * n))
+    scales = 1 if _l1_routed(measure) else _scale_grid(measure).size
+    return max(1, ELEMENT_BUDGET // (scales * rows * n))
 
 
 def _enumerable(sub) -> bool:
@@ -529,12 +586,23 @@ def nsp_check(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NspVe
     exact for a 1-homogeneous cost within the vertex enumeration cap and
     otherwise a search result at the fixed search resolution; ``boundary``
     flags an extremal deficit inside the strictness band, where the float
-    answer is not decidable.
+    answer is not decidable.  A measure routed to l1 (:func:`_l1_routed`)
+    takes l1's verdict off the band, with the l1 margin 1 - 2 gamma:
+    ``holds_strict`` by dominance, ``fails`` with a vertex line scaled until
+    its F-deficit verifies; inside the band its own search decides.
     """
     return _nsp_from_scan(cost, k, _validated_scan(sub, cost, k, seed))
 
 
 def _nsp_from_scan(cost, k, scan) -> NspVerdict:
+    if scan.band_search is not None:
+        decided = _l1_decision(scan, cost.measure, k)
+        if decided is None:
+            cands, evals = scan.band_search()
+            return _nsp_from_scan(cost, k, _Scan(cands, scan.evaluations + evals, False, None))
+        status, witness = decided
+        return NspVerdict(status, 1.0 - 2.0 * scan.cands[0].q, witness,
+                          _support_of(witness, cost.measure, k), scan.evaluations)
     best = scan.cands[0]
     deficit_norm = 2.0 * best.q - 1.0
     witness = best.scale * best.direction
@@ -574,7 +642,7 @@ class NscReport:
     theta: float
     witness_z: Array
     witness_T: tuple
-    method: str                # "exact_1d" | "vertex_enum" | "sphere_enum" | "multistart"
+    method: str                # "exact_1d" | "vertex_enum" | "l1_dominance" | "sphere_enum" | "multistart"
     evaluations: int
     is_lower_bound: bool
 
@@ -590,9 +658,11 @@ def nsc(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NscReport:
     direction; the maximizing support is the top-k of the coordinate
     penalties), and for a 1-homogeneous penalty in any dimension while the
     C(n, l-1) vertex lines are within the enumeration cap (``vertex_enum``).
-    Otherwise the reported value is the best found and is flagged as a
-    lower bound.  A ratio with vanishing denominator (z supported inside T)
-    is reported as +inf.
+    A measure routed to l1 (:func:`_l1_routed`) has l1's constant within
+    the cap (``l1_dominance``), exact as a supremum: the ratio tends to it
+    along t times the witness as t -> 0.  Otherwise the reported value is
+    the best found and is flagged as a lower bound.  A ratio with vanishing
+    denominator (z supported inside T) is reported as +inf.
     """
     return _nsc_from_scan(sub, cost, k, _validated_scan(sub, cost, k, seed))
 
@@ -603,7 +673,9 @@ def _nsc_from_scan(sub, cost, k, scan) -> NscReport:
     support = _support_of(witness, cost.measure, k)
     theta = best.q / (1.0 - best.q) if best.q < 1.0 else math.inf
     l = sub.dim
-    if l == 1:
+    if scan.band_search is not None:
+        method = "l1_dominance"
+    elif l == 1:
         method = "exact_1d"
     elif scan.exact:
         method = "vertex_enum"
@@ -627,7 +699,9 @@ def erc_member(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> ErcV
     For homogeneous penalties the test is theta < 1 with margin 1 - theta
     (exact in dimension one, and for l1 within the vertex enumeration
     cap).  For general penalties it is the strict inequality search of
-    :func:`nsp_check`, whose normalized margin is returned.
+    :func:`nsp_check`, whose normalized margin is returned; a measure routed
+    to l1 takes, off the band, l1's verdict and theta with the margin
+    1 - 2 gamma (``l1_dominance``).
     """
     return _erc_from_scan(sub, cost, k, _validated_scan(sub, cost, k, seed))
 
@@ -644,12 +718,18 @@ def _erc_from_scan(sub, cost, k, scan) -> ErcVerdict:
             method=report.method,
         )
     verdict = _nsp_from_scan(cost, k, scan)
+    theta, method = None, "deficit_search"
+    if scan.band_search is not None and verdict.evaluations == scan.evaluations:
+        # decided off the band by the l1 scan alone: the measure's own
+        # search, which adds its evaluations, did not run
+        report = _nsc_from_scan(sub, cost, k, scan)
+        theta, method = report.theta, report.method
     return ErcVerdict(
         member=verdict.holds,
         margin=verdict.margin,
         boundary=abs(verdict.margin) < TOL.mc_boundary_band,
-        theta=None,
-        method="deficit_search",
+        theta=theta,
+        method=method,
     )
 
 
@@ -803,9 +883,13 @@ def rrc_probe(
     Scans the deficit landscape over the subspace.  A radius within the
     certified l1 radius of the subspace passes soundly with no search
     (``passed_sound``); otherwise the best candidates are attacked with
-    perturbations from the open ball of radius d ||z||.  A returned
-    violation is re-verified by direct evaluation; a ``passed_at_resolution``
-    only certifies that the budgeted search found nothing.
+    perturbations from the open ball of radius d ||z||.  ``budget`` caps
+    the attack's evaluations; ``evaluations`` reports the scan's and the
+    attack's.  A measure routed to l1 (:func:`_l1_routed`) takes the l1
+    attack off the band, whose witness (z, e) counts once some t (z + e)
+    verifies under F.  A returned violation is
+    re-verified by direct evaluation; a ``passed_at_resolution`` only
+    certifies that the budgeted search found nothing.
     """
     if not 0 < d < math.inf:
         raise ValueError(f"need finite d > 0, got {d}")
@@ -817,16 +901,33 @@ def rrc_probe(
 def _rrc_from_scan(sub, cost, k, d, budget, scan) -> RobustnessProbe:
     measure = cost.measure
     shrink = 1.0 - TOL.strict_shrink
-    cands, evals = scan.cands, scan.evaluations
+    cands, evals, spent = scan.cands, scan.evaluations, 0   # spent: the attack's, capped by budget
     sound_radius = _sound_radius(sub, measure, k, scan)
 
     if d <= sound_radius * shrink:
         return RobustnessProbe(d, "passed_sound", None, budget, evals, sound_radius)
 
     def outcome(name, violation=None):
-        return RobustnessProbe(d, name, violation, budget, evals, certified_radius=sound_radius)
+        return RobustnessProbe(d, name, violation, budget, evals + spent,
+                               certified_radius=sound_radius)
+
+    attack, search = measure, scan.search
+    if scan.band_search is not None:
+        if _l1_decision(scan, measure, k) is None:
+            # inside the band the measure's own search and attack decide
+            cands, ev = scan.band_search()
+            evals += ev
+            search = None
+        else:
+            attack = _L1
 
     def make_violation(z, n_vec):
+        if attack is not measure:
+            # an l1 witness counts once some t (z + n_vec) verifies under F
+            scaled = _rescaled(z, n_vec, measure, k)
+            if scaled is None:
+                return None
+            z, n_vec = scaled
         deficit = _deficit_raw(z + n_vec, measure, k)
         support = _support_of(z + n_vec, measure, k)
         if deficit < 0.0:
@@ -849,43 +950,43 @@ def _rrc_from_scan(sub, cost, k, d, budget, scan) -> RobustnessProbe:
     # them misses violations that one from the search's candidates finds
     # (the worst perturbed point lies off the vertices), so beyond the
     # certified radius the attack starts from the search's candidates
-    if scan.search is not None:
-        cands, ev = scan.search()
+    if search is not None:
+        cands, ev = search()
         evals += ev
 
     # phase 1: cheap closed-form perturbations on every (direction, scale)
     # pair; for scale-sensitive penalties the violating amplitude may differ
     # from the amplitude maximizing the unperturbed deficit
-    scale_grid = _scale_grid(measure)
+    scale_grid = _scale_grid(attack)
     pairs = []
     for cand in cands[:PROBE_CANDIDATES]:
-        if measure.is_homogeneous:
+        if attack.is_homogeneous:
             trial_scales = [cand.scale]
         else:
             trial_scales = sorted(set(scale_grid[:: max(1, scale_grid.size // 24)]) | {cand.scale})
         for t in trial_scales:
             z = t * cand.direction
             radius = d * float(np.linalg.norm(z)) * shrink
-            val, n_vec, ev = _attack_quick(z, measure, k, radius)
-            evals += ev
+            val, n_vec, ev = _attack_quick(z, attack, k, radius)
+            spent += ev
             if val >= 0.0:
                 v = make_violation(z, n_vec)
                 if v is not None:
                     return outcome("violated", v)
             pairs.append((val / max(radius, 1e-300), z, radius, n_vec))
-            if evals >= budget:
+            if spent >= budget:
                 return outcome("passed_at_resolution")
 
     # phase 2: gradient ascent from the most promising pairs only
     pairs.sort(key=lambda p: p[0], reverse=True)
     for _, z, radius, n0 in pairs[:4]:
-        val, n_vec, ev = _attack_ascend(z, measure, k, radius, n0, ATTACK_STEPS)
-        evals += ev
+        val, n_vec, ev = _attack_ascend(z, attack, k, radius, n0, ATTACK_STEPS)
+        spent += ev
         if val >= 0.0:
             v = make_violation(z, n_vec)
             if v is not None:
                 return outcome("violated", v)
-        if evals >= budget:
+        if spent >= budget:
             break
     return outcome("passed_at_resolution")
 
