@@ -277,13 +277,15 @@ class _Scan:
     for the probe's attack beyond the certified radius.  ``band_search``
     marks the l1 scan of a measure routed to l1 (:func:`_l1_routed`): it
     runs the measure's own search once, which decides inside the band
-    around 2 gamma = 1.
+    around 2 gamma = 1.  ``decision``, set beside it, decides the scan
+    off the band once (:func:`_l1_decision`).
     """
 
     cands: list            # ranked _Candidate, best first
     evaluations: int
     exact: bool
     sound_radius: float | None
+    decision: Callable[[], tuple | None] | None = None
     search: Callable[[], tuple[list, int]] | None = None
     band_search: Callable[[], tuple[list, int]] | None = None
 
@@ -312,16 +314,16 @@ def _rescaled(z: Array, e: Array, measure: SparsenessMeasure, k: int):
     return (tz[hit[0]], te[hit[0]]) if hit.size else None
 
 
-def _l1_decision(scan, measure, k):
-    """The verdict of a routed scan off the band: ("holds_strict", top
-    vertex line) when 2 gamma - 1 <= -band, by dominance; ("fails",
-    witness) when 2 gamma - 1 >= band and a vertex line of q >= 1/2 + band,
-    scaled down the ladder, verifies.  None otherwise: the measure's own
-    search decides."""
-    best = scan.cands[0]
+def _l1_decision(cands, measure, k):
+    """The verdict of a routed scan's ranked candidates off the band:
+    ("holds_strict", top vertex line) when 2 gamma - 1 <= -band, by
+    dominance; ("fails", witness) when 2 gamma - 1 >= band and a vertex
+    line of q >= 1/2 + band, scaled down the ladder, verifies.  None
+    otherwise: the measure's own search decides."""
+    best = cands[0]
     if 2.0 * best.q - 1.0 <= -TOL.boundary_margin:
         return "holds_strict", best.direction
-    for cand in scan.cands:
+    for cand in cands:
         if 2.0 * cand.q - 1.0 >= TOL.boundary_margin:
             scaled = _rescaled(cand.direction, np.zeros(cand.direction.size), measure, k)
             if scaled is not None:
@@ -404,6 +406,8 @@ def _scan_subspaces(subs, measure, k, rngs) -> list:
             scans[i].search = functools.cache(
                 functools.partial(_search_subspace, sub, _L1 if routed else measure, k, rng))
             if routed:
+                scans[i].decision = functools.cache(
+                    functools.partial(_l1_decision, scans[i].cands, measure, k))
                 scans[i].band_search = functools.cache(
                     functools.partial(_search_subspace, sub, measure, k, rng))
         elif sub.dim <= 2:
@@ -596,7 +600,7 @@ def nsp_check(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NspVe
 
 def _nsp_from_scan(cost, k, scan) -> NspVerdict:
     if scan.band_search is not None:
-        decided = _l1_decision(scan, cost.measure, k)
+        decided = scan.decision()
         if decided is None:
             cands, evals = scan.band_search()
             return _nsp_from_scan(cost, k, _Scan(cands, scan.evaluations + evals, False, None))
@@ -719,9 +723,8 @@ def _erc_from_scan(sub, cost, k, scan) -> ErcVerdict:
         )
     verdict = _nsp_from_scan(cost, k, scan)
     theta, method = None, "deficit_search"
-    if scan.band_search is not None and verdict.evaluations == scan.evaluations:
-        # decided off the band by the l1 scan alone: the measure's own
-        # search, which adds its evaluations, did not run
+    if scan.band_search is not None and scan.decision() is not None:
+        # decided off the band by the l1 scan alone
         report = _nsc_from_scan(sub, cost, k, scan)
         theta, method = report.theta, report.method
     return ErcVerdict(
@@ -913,7 +916,7 @@ def _rrc_from_scan(sub, cost, k, d, budget, scan) -> RobustnessProbe:
 
     attack, search = measure, scan.search
     if scan.band_search is not None:
-        if _l1_decision(scan, measure, k) is None:
+        if scan.decision() is None:
             # inside the band the measure's own search and attack decide
             cands, ev = scan.band_search()
             evals += ev

@@ -7,12 +7,14 @@ by the Gaussian width w(K) = E sup_{x in K} g.x, which this module
 estimates by Monte Carlo.  Per draw, the supremum is exact for the l1
 cost: the top-k support of |g| attains it (rearrangement), and its value
 is the norm of one convex cone projection whose multiplier has a closed
-form.  Other penalties get a feasible line-search lower bound over every
-support of size k: the top-k support of |g| first, then the others, each
-dropped as soon as it provably cannot beat the best value found, and for a
-penalty under the dominance rule without evaluating it at points outside
-the l1 cone.  The estimates asked of one draw sample share its per-draw
-suprema.
+form.  That sup is exact too for a penalty that takes l1's certificates
+(:func:`nsp._l1_routed`): its failure cone lies inside l1's by dominance,
+and every ray with a positive l1 deficit enters it at a small enough
+amplitude, so the two sections have the same closure and the same
+supremum.  Other penalties get a feasible line-search lower bound over
+every support of size k: the top-k support of |g| first, then the others,
+each dropped as soon as it provably cannot beat the best value found.  The
+estimates asked of one draw sample share its per-draw suprema.
 
 Because the failure cone is a union of rays, the d-extended section is the
 angular d-neighborhood of K, so its per-draw supremum follows from the
@@ -30,7 +32,7 @@ import numpy as np
 
 from .config import ELEMENT_BUDGET
 from .measures import CostFunction
-from .nsp import _batches, _check_support_budget, _dominated, _topk_total, robustness_constant
+from .nsp import _batches, _check_support_budget, _l1_routed, _topk_total, robustness_constant
 from .subspaces import as_rng
 
 Array = np.ndarray
@@ -92,11 +94,9 @@ _WIDTH_SCALE_POINTS = 33
 _BISECT_STEPS = 30
 
 # The generic search retires a (support, draw) pair whose ceiling lies
-# this far below its draw's best value, relative to ||g||, and screens out
-# a point whose l1 margin lies this far outside the l1 cone, relative to
-# ||u||_1 (see _sup_generic for why neither changes a value).
+# this far below its draw's best value, relative to ||g|| (see
+# _sup_generic for why this changes no value).
 _RETIRE_MARGIN = 1e-9
-_L1_BAND = 1e-9
 
 
 def _sup_generic(g: Array, measure, k: int) -> Array:
@@ -117,24 +117,16 @@ def _sup_generic(g: Array, measure, k: int) -> Array:
        pair whose feasible fraction stays below h ends below the ceiling
        ||g|| ((1-h) c + h) / sqrt((1-h)^2 + 2h(1-h) c + h^2), c = ghat.u0,
        and a retired pair's value is below the maximum.
-    4. For a non-homogeneous measure under the dominance rule, a point is
-       first screened by its l1 margin 2 top_k(|u|) - ||u||_1.  With T the
-       top-k support of u, a = min_T |u_i| and r = F(sa)/(sa), the F-margin
-       at scale s is at most r s times the l1 margin, and the F-total at
-       most (n/k) r s ||u||_1.  A point more than ``_L1_BAND`` ||u||_1
-       outside the l1 cone therefore fails by more than ``_L1_BAND`` k/n of
-       its F-total at every scale, and is infeasible without an
-       evaluation.  The other points are checked at the smallest scale,
-       and those still undecided at the remaining scales.
 
-    Both margins lie far above rounding: g.u, the ceiling and the margins
-    are sums of n terms, each good to a few ulps, so their rounding is
-    about n 2^-52 of ||g||, ||u||_1 or the F-total, six orders below 1e-9
-    at small n and below 1e-9 k/n for every n under about 3000.
+    The retire margin lies far above rounding: g.u and the ceiling are
+    sums of n terms, each good to a few ulps, so their rounding is about
+    n 2^-52 of ||g||, six orders below 1e-9 at small n.
 
     Pairs are bisected at most ``ELEMENT_BUDGET`` / n at a time, a retired
-    or finished pair's slot taken by the next, and the remaining scales
-    are checked in blocks of at most 2 ``ELEMENT_BUDGET`` penalty values.
+    or finished pair's slot taken by the next.  A point of a
+    non-homogeneous measure is checked at the smallest scale, and if still
+    undecided at the remaining scales, in blocks of at most
+    2 ``ELEMENT_BUDGET`` penalty values.
     Columns are gathered C-ordered, and no lone column is gathered: numpy
     reduces a lone column, as it does a column of an F-ordered array, in
     another order (see :func:`nsp._batches`).  ``g`` holds at least two
@@ -149,7 +141,6 @@ def _sup_generic(g: Array, measure, k: int) -> Array:
         scales = np.ones(1)
     else:
         scales = np.geomspace(1e-6, 1e6, _WIDTH_SCALE_POINTS)
-    screen = not measure.is_homogeneous and _dominated(measure)
     width = max(2, ELEMENT_BUDGET // n)
     rest_width = max(2, 2 * ELEMENT_BUDGET // (len(scales) * n))
 
@@ -160,19 +151,11 @@ def _sup_generic(g: Array, measure, k: int) -> Array:
     def feasible(u: Array) -> Array:
         """Columns of u whose top-k cost reaches half the total at some scale."""
         absu = np.abs(u)
-        ok = np.zeros(u.shape[1], dtype=bool)
-        todo = np.arange(u.shape[1])
-        if screen:          # l1-infeasible points are F-infeasible at every scale
-            top, tot = _topk_total(absu, k, axis=0)
-            todo = cols(np.flatnonzero(2.0 * top - tot >= -_L1_BAND * tot))
-            if not len(todo):
-                return ok
-        first = np.take(absu, todo, axis=1) if screen else absu
-        if not measure.is_homogeneous:       # the lone scale 1.0 multiplies exactly
-            first = scales[0] * first
+        # a homogeneous measure's lone scale 1.0 would multiply exactly
+        first = absu if measure.is_homogeneous else scales[0] * absu
         top, tot = _topk_total(measure.fn(first[None]), k, axis=1)
-        ok[todo] = hit = (2.0 * top - tot >= 0.0)[0]
-        rest = cols(todo[~hit]) if len(scales) > 1 else todo[:0]
+        ok = (2.0 * top - tot >= 0.0)[0]
+        rest = cols(np.flatnonzero(~ok)) if len(scales) > 1 else []
         for start, stop in _batches(len(rest), rest_width):
             block = rest[start:stop]
             fv = measure.fn(scales[1:, None, None] * np.take(absu, block, axis=1)[None])
@@ -283,7 +266,7 @@ def _draw_sups(cost: CostFunction, k: int, draws: int, seed):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if not measure.continuous:
         raise ValueError(f"width estimation requires a continuous measure, got {measure.name}")
-    generic = k < n and measure.homogeneity_degree != 1.0
+    generic = k < n and measure.homogeneity_degree != 1.0 and not _l1_routed(measure)
     if generic:
         _check_support_budget(n, k)
     key = (n, k, draws, int(seed)) if isinstance(seed, (int, np.integer)) else None

@@ -12,15 +12,21 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nsp_lab import nsp
+from nsp_lab import nsp, width
 from nsp_lab.config import TOL
+from nsp_lab.experiments import ExperimentConfig, mc_probability
 from nsp_lab.measures import CostFunction, SparsenessMeasure, builtin_measure
 from nsp_lab.nsp import erc_member, nsc, nsp_check, rrc_probe
 from nsp_lab.subspaces import Subspace, gaussian_measurement, null_space
+from nsp_lab.width import width_extended, width_mc
 
 L1 = builtin_measure("l1")
 ROUTED = (builtin_measure("exp_ce1"), builtin_measure("mcp_zap", alpha=2.0),
           builtin_measure("scad"))
+# F(t)/t = 1 + 1/sqrt(t) -> inf at 0+: dominated, yet an l1 deficit need
+# not carry over to F, so F keeps its own search
+SQRT_PLUS = SparsenessMeasure("sqrt_plus", lambda t: np.sqrt(t) + t, non_decreasing=True,
+                              ratio_nonincreasing=True, subadditive=True)
 
 
 def f_deficit(u, measure, k):
@@ -116,16 +122,59 @@ class TestSlopeAtZero:
             assert not nsp._l1_routed(m), m.spec_string()
 
     def test_measure_without_finite_slope_is_not_routed(self):
-        # F(t)/t = 1 + 1/sqrt(t) -> inf at 0+: dominated, yet an l1 deficit
-        # need not carry over to F, so F keeps its own search
-        sqrt_plus = SparsenessMeasure("sqrt_plus", lambda t: np.sqrt(t) + t, non_decreasing=True,
-                                      ratio_nonincreasing=True, subadditive=True)
-        assert sqrt_plus.slope_at_zero is None
-        assert not nsp._l1_routed(sqrt_plus)
+        assert SQRT_PLUS.slope_at_zero is None
+        assert not nsp._l1_routed(SQRT_PLUS)
         sub = null_space(gaussian_measurement(3, 5, 0))
-        assert nsc(sub, CostFunction(sqrt_plus, 5), 1).method == "sphere_enum"
+        assert nsc(sub, CostFunction(SQRT_PLUS, 5), 1).method == "sphere_enum"
         undominated = dataclasses.replace(ROUTED[2], ratio_nonincreasing=None)
         assert not nsp._l1_routed(undominated)
+
+
+class TestOneDecisionPerScan:
+    @pytest.mark.parametrize("spec, n, m", [("mcp_zap(alpha=2)", 5, 3), ("exp_ce1", 7, 4)])
+    def test_mc_decides_each_trial_once(self, monkeypatch, spec, n, m):
+        # ERC and the probe at each radius read one decision of the trial's
+        # scan, whose ladder evaluations are not repeated
+        calls = []
+        decide = nsp._l1_decision
+
+        def counted(*args):
+            calls.append(args)
+            return decide(*args)
+
+        monkeypatch.setattr(nsp, "_l1_decision", counted)
+        mc_probability(ExperimentConfig(n, m, 1, measure=spec, trials=200,
+                                        d_grid=(1e-3, 0.05, 0.2)))
+        assert len(calls) == 200
+
+
+class TestWidth:
+    # K_F lies inside K_l1 by dominance and is dense in it by the slope at
+    # 0, so the per-draw sup is l1's closed form, exact
+
+    @pytest.mark.parametrize("n, k", [(6, 1), (6, 2), (8, 2)])
+    def test_routed_width_is_the_l1_width(self, n, k):
+        l1_cost = CostFunction(L1, n)
+        ref_sup, ref_norms, _, _ = width._draw_sups(l1_cost, k, 300, 71)
+        ref_ext = width_extended(l1_cost, k, 0.1, draws=300, seed=71)
+        for measure in ROUTED:
+            cost = CostFunction(measure, n)
+            sup, norms, label, lower = width._draw_sups(cost, k, 300, 71)
+            assert np.array_equal(sup, ref_sup) and np.array_equal(norms, ref_norms)
+            assert (label, lower) == ("support_projection", False)
+            assert width_extended(cost, k, 0.1, draws=300, seed=71) == ref_ext
+
+    def test_past_the_enumeration_cap(self):
+        # C(40, 5) = 658,008 supports, past the cap that only the search needs
+        est = width_mc(CostFunction(ROUTED[0], 40), 5, draws=50, seed=72)
+        assert est == width_mc(CostFunction(L1, 40), 5, draws=50, seed=72)
+        with pytest.raises(ValueError, match="enumeration cap"):
+            width_mc(CostFunction(SQRT_PLUS, 40), 5, draws=50, seed=72)
+
+    def test_measure_without_finite_slope_is_searched(self):
+        est = width_mc(CostFunction(SQRT_PLUS, 6), 2, draws=40, seed=73)
+        assert (est.inner_search, est.is_lower_bound) == ("multistart", True)
+        assert est.mean <= width_mc(CostFunction(L1, 6), 2, draws=40, seed=73).mean + 1e-12
 
 
 class TestProbeBudget:
