@@ -38,10 +38,10 @@ ELEMENT_BUDGET = 16384
 
 # The one cap on explicit support enumeration; larger instances must supply
 # their own support sampler rather than silently degrade.  Certificates and
-# the generic (non-l1) widths count the C(n, k) supports of size k; the l1
-# certificates and the certified radius also count the C(n, l - 1) vertex
-# lines of an l-dimensional null space, and past the cap fall back to the
-# search (a lower bound, no certified radius); the ``enumerate`` solver
-# counts every support of size at most k, sum_{s <= k} C(n, s).  The l1
-# width enumerates no supports.
+# the generic (non-l1) widths count the C(n, k) supports of size k; the
+# power-law (l0, lp, l1) certificates and the certified radius also count
+# the C(n, l - 1) vertex lines of an l-dimensional null space, and past the
+# cap fall back to the search (a lower bound, no certified radius); the
+# ``enumerate`` solver counts every support of size at most k,
+# sum_{s <= k} C(n, s).  The l1 width enumerates no supports.
 SUPPORT_ENUMERATION_CAP = 100_000

@@ -21,6 +21,16 @@ r(N) = (1 - 2 gamma) / (sqrt(n) kappa) is then violation-free, for l1 and,
 by the dominance rule, for every non-decreasing F with F(t)/t
 non-increasing.
 
+The same lines decide the power laws F(1)|t|^p below p = 1 (``l0``,
+``lp``).  At k = 1, max |z_i|^p / sum_j |z_j|^p over N is
+1 / (1 + min{sum_{j != i} |z_j|^p : z in N, z_i = 1}); that objective is
+concave on each orthant piece of the affine set and bounded below, so its
+minimum lies at a vertex of a piece (Rockafellar, Convex Analysis,
+Cor. 32.3.4), and such a vertex has l - 1 zero coordinates: it is on a
+vertex line.  Under l0 the ratio grows as the support shrinks, and every z
+in N contains the support of a vertex line, so the lines are exact at
+every k.  For lp at k >= 2 the best line is a lower bound.
+
 Such an F whose F(t)/t also tends to a finite c > 0 at 0+ (the limit
 ``SparsenessMeasure.slope_at_zero``; ``exp_ce1``, ``mcp_zap``, ``scad``)
 takes l1's certificates: an F-violation at u is an l1 violation there,
@@ -273,8 +283,9 @@ class _Scan:
     ``exact`` says the best candidate attains the supremum of q.
     ``sound_radius`` is the certified radius, 0.0 when nothing is
     certified; None until the first probe needs it (:func:`_sound_radius`).
-    ``search``, set beside the exact l1 enumeration, runs the search once
-    for the probe's attack beyond the certified radius.  ``band_search``
+    ``search``, set beside the vertex enumeration of a subspace of dim >= 2
+    (which it marks), runs the search once for the probe's attack beyond
+    the certified radius.  ``band_search``
     marks the l1 scan of a measure routed to l1 (:func:`_l1_routed`): it
     runs the measure's own search once, which decides inside the band
     around 2 gamma = 1.  ``decision``, set beside it, decides the scan
@@ -350,85 +361,84 @@ def _vertex_lines(basis: Array):
         yield vt[full, -1, :] @ basis.T
 
 
-def _l1_vertex_scan(basis: Array, k: int) -> _Scan:
-    """Exact l1 scan: the vertex lines with the highest
-    q = ||z_T||_1 / ||z||_1 (T the top-k support), best first, and r(N).
+def _power_law(measure: SparsenessMeasure) -> bool:
+    """F(t) = F(1) |t|^p with 0 <= p <= 1: ``l0``, ``lp`` and ``l1``."""
+    return measure.is_homogeneous and 0.0 <= measure.homogeneity_degree <= 1.0
 
-    gamma is the best q and kappa the largest ||z||_2 / ||z||_1 over the
-    lines.  With u = z + e, ||e|| < d ||z||, the deficit
+
+def _vertex_scan(basis: Array, measure: SparsenessMeasure, k: int) -> _Scan:
+    """Scan of the vertex lines under a power law (:func:`_power_law`): the
+    lines with the highest q = J(z_T) / J(z) (T the top-k support), best
+    first, and r(N).
+
+    gamma = max ||z_T||_1 / ||z||_1 and kappa = max ||z||_2 / ||z||_1 are
+    read off the lines as the SVD gives them.  With u = z + e,
+    ||e|| < d ||z||, the deficit
     ||u_T||_1 - ||u_{T^c}||_1 <= (2 gamma - 1) ||z||_1 + sqrt(n) ||e||_2
-    is negative for every d <= r(N) = (1 - 2 gamma) / (sqrt(n) kappa).
+    is negative for every d <= r(N) = (1 - 2 gamma) / (sqrt(n) kappa), for
+    l1 and every measure it dominates; otherwise no radius is certified.
+
+    Under p = 1 the lines are ranked by that ratio, exactly (module
+    docstring).  Under p < 1 a line is ranked by its own q on the copy with
+    its zero coordinates set to exactly 0: the SVD leaves up to ~1e-15 on
+    the l - 1 zeros of a line (and on the further zeros of a degenerate
+    vertex, as integer matrices have), and (1e-15)^0.1 ~ 0.03.  A
+    coordinate counts as zero within TOL.membership / (2 sqrt(n)), which
+    moves the unit line by at most half the membership tolerance, so the
+    copy stays in N (``Subspace.contains``).  That is exact for ``l0`` at
+    every k, and for ``lp`` at k = 1 and on a line (module docstring); for
+    ``lp`` at k >= 2 it is a lower bound (``exact`` False).
     """
-    n = basis.shape[0]
+    n, l = basis.shape
+    p = measure.homogeneity_degree
+    zero = TOL.membership / (2.0 * math.sqrt(n))
     qs, lines = np.zeros(0), np.zeros((0, n))
-    kappa, scored = 0.0, 0
+    gamma, kappa, scored = 0.0, 0.0, 0
     for z in _vertex_lines(basis):
         if not len(z):
             continue
         top, tot = _topk_total(np.abs(z), k, axis=1)
         kappa = max(kappa, float((np.linalg.norm(z, axis=1) / tot).max()))
+        q = top / tot
+        gamma = max(gamma, float(q.max()))
         scored += len(z)
-        qs = np.concatenate([qs, top / tot])
+        if p != 1.0:
+            z = np.where(np.abs(z) > zero, z, 0.0)
+            top, tot = _topk_total(measure.fn(np.abs(z)), k, axis=1)
+            q = top / tot
+        qs = np.concatenate([qs, q])
         lines = np.concatenate([lines, z])
         keep = np.argsort(-qs, kind="stable")[:REFINE_PEAKS]
         qs, lines = qs[keep], lines[keep]
-    gamma = float(qs[0])
-    radius = max(1.0 - 2.0 * gamma, 0.0) / (math.sqrt(n) * kappa)
+    certified = p == 1.0 or _dominated(measure)
+    radius = max(1.0 - 2.0 * gamma, 0.0) / (math.sqrt(n) * kappa) if certified else 0.0
     cands = [_Candidate(float(q), z, 1.0) for q, z in zip(qs, lines)]
-    return _Scan(cands, scored * n, True, radius)
+    return _Scan(cands, scored * n, p in (0.0, 1.0) or k <= 1 or l == 1, radius)
 
 
 def _scan_subspace(sub, measure, k, rng) -> _Scan:
-    """Ranked (q, direction, scale) candidates over the subspace: the one
-    subspace case of :func:`_scan_subspaces`."""
-    return _scan_subspaces([sub], measure, k, [rng])[0]
+    """Ranked (q, direction, scale) candidates over the subspace.
 
-
-def _scan_subspaces(subs, measure, k, rngs) -> list:
-    """One scan per subspace, each equal to the scan of that subspace alone.
-
-    A 1-homogeneous penalty (F(1)|t|) takes the exact l1 vertex enumeration
-    while C(n, l-1) is within the enumeration cap, and so does, in every
-    dimension, a measure routed to l1 (:func:`_l1_routed`), whose own
-    search waits in ``band_search``.  Otherwise the search is,
-    in dim 1, the generator itself; in dim 2, a half-circle angle grid with
-    golden-section refinement of the best distinct peaks; in dim >= 3,
-    random unit directions with hill climbing from the best starts, on the
-    subspace's own generator.  The lines, and the planes, of one ambient
-    dimension are searched together (:func:`_search_lockstep`).
+    While the C(n, l-1) vertex lines are within the enumeration cap, a
+    power law takes the vertex scan (:func:`_vertex_scan`), and so does, on
+    l1's ranking, a measure routed to l1 (:func:`_l1_routed`), whose own
+    search waits in ``band_search``.  Beside a vertex scan of a subspace of
+    dim >= 2, ``search`` runs the search once for the probe's attack (a
+    line's one direction is its vertex line).  Every other scan is the
+    search (:func:`_search_subspace`).
     """
-    scans: list = [None] * len(subs)
-    shapes: dict = {}
     routed = _l1_routed(measure)
-    for i, (sub, rng) in enumerate(zip(subs, rngs)):
-        if (routed or measure.homogeneity_degree == 1.0 and sub.dim > 1) and _enumerable(sub):
-            scans[i] = _l1_vertex_scan(sub.basis, k)
-            scans[i].search = functools.cache(
-                functools.partial(_search_subspace, sub, _L1 if routed else measure, k, rng))
-            if routed:
-                scans[i].decision = functools.cache(
-                    functools.partial(_l1_decision, scans[i].cands, measure, k))
-                scans[i].band_search = functools.cache(
-                    functools.partial(_search_subspace, sub, measure, k, rng))
-        elif sub.dim <= 2:
-            shapes.setdefault((sub.ambient_dim, sub.dim), []).append(i)
-        else:
-            scans[i] = _Scan(*_search_subspace(sub, measure, k, rng), False, None)
-    for (_, l), idx in shapes.items():
-        found = _search_lockstep([subs[i] for i in idx], measure, k)
-        for i, (cands, evals) in zip(idx, found):
-            scans[i] = _Scan(cands, evals, l == 1 and measure.is_homogeneous, None)
-    return scans
-
-
-def _lockstep_block(measure, n: int, dim: int) -> int:
-    """Subspaces per :func:`_scan_subspaces` call in a Monte Carlo batch:
-    the refinements evaluate one row of n coordinates per line, or
-    REFINE_PEAKS per plane, at every scale, and a block keeps that within
-    ELEMENT_BUDGET.  A measure routed to l1 is sized as l1 is."""
-    rows = 1 if dim == 1 else REFINE_PEAKS
-    scales = 1 if _l1_routed(measure) else _scale_grid(measure).size
-    return max(1, ELEMENT_BUDGET // (scales * rows * n))
+    if not ((routed or _power_law(measure)) and _enumerable(sub)):
+        cands, evals = _search_subspace(sub, measure, k, rng)
+        return _Scan(cands, evals, sub.dim == 1 and measure.is_homogeneous, None)
+    ranking = _L1 if routed else measure
+    scan = _vertex_scan(sub.basis, ranking, k)
+    if sub.dim > 1:
+        scan.search = functools.cache(functools.partial(_search_subspace, sub, ranking, k, rng))
+    if routed:
+        scan.decision = functools.cache(functools.partial(_l1_decision, scan.cands, measure, k))
+        scan.band_search = functools.cache(functools.partial(_search_subspace, sub, measure, k, rng))
+    return scan
 
 
 def _enumerable(sub) -> bool:
@@ -436,13 +446,12 @@ def _enumerable(sub) -> bool:
 
 
 def _sound_radius(sub, measure, k, scan) -> float:
-    """The scan's certified radius, from the l1 vertex record of the
-    subspace when the measure is 1-homogeneous or dominated by l1, computed
-    once per scan."""
+    """The scan's certified radius.  A vertex scan carries it; a search
+    scan takes it, once, from the l1 vertex scan of the subspace when the
+    measure is dominated by l1 and the lines are within the cap."""
     if scan.sound_radius is None:
-        certified = measure.homogeneity_degree == 1.0 or _dominated(measure)
-        scan.sound_radius = (_l1_vertex_scan(sub.basis, k).sound_radius
-                             if certified and _enumerable(sub) else 0.0)
+        scan.sound_radius = (_vertex_scan(sub.basis, _L1, k).sound_radius
+                             if _dominated(measure) and _enumerable(sub) else 0.0)
     return scan.sound_radius
 
 
@@ -450,26 +459,25 @@ _ANGLES = np.linspace(0.0, math.pi, DIRECTION_GRID, endpoint=False)
 _ANGLE_DIRECTIONS = np.vstack([np.cos(_ANGLES), np.sin(_ANGLES)])
 
 
-def _search_lockstep(subs, measure, k) -> list:
-    """(ranked candidates, evaluations) per subspace, for lines or planes
-    of one ambient dimension, each as a search of it alone gives them.
+def _search_subspace(sub, measure, k, rng) -> tuple[list, int]:
+    """Ranked candidates and evaluations of the search over one subspace.
 
-    A line's candidate is its generator.  A plane's angle grid is scanned
-    in cache-sized blocks; then the angle brackets of all planes' peaks are
-    refined in one lockstep golden-section search, and all the refined
-    directions' scales in one more.  Each bracket and each row is evaluated
-    on its own, so the batch changes no value.
+    In dim 1 the candidate is the generator.  In dim 2 a half-circle angle
+    grid is scanned in cache-sized blocks, the angle brackets of its best
+    distinct peaks are refined in one lockstep golden-section search, and
+    the refined directions' scales in one more; each bracket and each row
+    is evaluated on its own, so refining them together changes no value.
+    In dim >= 3, random unit directions with hill climbing from the best
+    starts, on ``rng``.
     """
+    n, l = sub.basis.shape
     scales = _scale_grid(measure)
-    if subs[0].dim == 1:
-        cands = _refine_scale(np.array([sub.basis[:, 0] for sub in subs]), measure, k)
-        return [([c], sub.ambient_dim * scales.size) for c, sub in zip(cands, subs)]
+    if l == 1:
+        return _refine_scale(np.array([sub.basis[:, 0]]), measure, k), n * scales.size
 
-    grid = DIRECTION_GRID
-    min_sep = max(2, grid // 90)
-    peak_angles: list[float] = []
-    bounds = [0]               # a plane's peaks are peak_angles[bounds[j]:bounds[j + 1]]
-    for sub in subs:
+    if l == 2:
+        grid = DIRECTION_GRID
+        min_sep = max(2, grid // 90)
         per_col, _ = _q_columns(sub.basis @ _ANGLE_DIRECTIONS, measure, k, scales)
         peaks: list[int] = []
         for idx in np.argsort(per_col)[::-1]:
@@ -477,37 +485,24 @@ def _search_lockstep(subs, measure, k) -> list:
                 peaks.append(int(idx))
             if len(peaks) >= REFINE_PEAKS:
                 break
-        peak_angles += [_ANGLES[p] for p in peaks]
-        bounds.append(len(peak_angles))
-    spans = list(zip(bounds, bounds[1:]))
 
-    def directions(thetas):
-        # a plane's basis, broadcast over its angles, runs per angle the
-        # matrix-vector kernel of basis @ (cos, sin) on the basis as laid
-        # out in memory, so each direction is the one it gives alone
-        w = np.array([[math.cos(t), math.sin(t)] for t in thetas])[:, :, None]
-        return np.concatenate([np.matmul(sub.basis, w[lo:hi])[:, :, 0]
-                               for sub, (lo, hi) in zip(subs, spans)])
+        def directions(thetas):
+            # the basis broadcast over the angles runs, per angle, the
+            # matrix-vector kernel of basis @ (cos, sin) on the basis as
+            # laid out in memory, so each direction is the one it gives alone
+            w = np.array([[math.cos(t), math.sin(t)] for t in thetas])[:, :, None]
+            return np.matmul(sub.basis, w)[:, :, 0]
 
-    def q_at_angles(thetas):
-        return _q_columns(directions(thetas), measure, k, scales, axis=1)[0].tolist()
+        def q_at_angles(thetas):
+            return _q_columns(directions(thetas), measure, k, scales, axis=1)[0].tolist()
 
-    step = math.pi / grid
-    thetas, _ = _golden_max(q_at_angles, [a - step for a in peak_angles],
-                            [a + step for a in peak_angles], REFINE_ITERS)
-    cands = _refine_scale(directions(thetas), measure, k)
-    return [(_ranked(cands[lo:hi]), scales.size * (sub.ambient_dim * grid + (hi - lo) * REFINE_ITERS))
-            for sub, (lo, hi) in zip(subs, spans)]
-
-
-def _search_subspace(sub, measure, k, rng) -> tuple[list, int]:
-    """Ranked candidates and evaluations of the search over one subspace."""
-    l = sub.dim
-    if l <= 2:
-        return _search_lockstep([sub], measure, k)[0]
+        step = math.pi / grid
+        thetas, _ = _golden_max(q_at_angles, [_ANGLES[p] - step for p in peaks],
+                                [_ANGLES[p] + step for p in peaks], REFINE_ITERS)
+        cands = _refine_scale(directions(thetas), measure, k)
+        return _ranked(cands), scales.size * (n * grid + len(peaks) * REFINE_ITERS)
 
     # dim >= 3: sampled directions plus hill climbing
-    scales = _scale_grid(measure)
     w = rng.standard_normal((l, DIRECTION_GRID))
     w /= np.linalg.norm(w, axis=0)
     z_cols = sub.basis @ w
@@ -524,7 +519,7 @@ def _search_subspace(sub, measure, k, rng) -> tuple[list, int]:
             prop = wv + sigma * rng.standard_normal(l)
             prop /= np.linalg.norm(prop)
             qq, _ = _q_single(sub.basis @ prop, measure, k, scales)
-            evals += scales.size * sub.ambient_dim
+            evals += scales.size * n
             if qq > best_q:
                 best_q, wv = qq, prop
             else:
@@ -587,8 +582,9 @@ def nsp_check(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NspVe
 
     Maximizes the normalized deficit over directions, amplitudes and
     supports.  ``fails`` carries a direct witness; ``holds_strict`` is
-    exact for a 1-homogeneous cost within the vertex enumeration cap and
-    otherwise a search result at the fixed search resolution; ``boundary``
+    exact where the vertex lines are (module docstring; within the vertex
+    enumeration cap, for l1, for l0, and for lp at k = 1) and otherwise a
+    result at the fixed search resolution; ``boundary``
     flags an extremal deficit inside the strictness band, where the float
     answer is not decidable.  A measure routed to l1 (:func:`_l1_routed`)
     takes l1's verdict off the band, with the l1 margin 1 - 2 gamma:
@@ -660,9 +656,11 @@ def nsc(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NscReport:
 
     Exact for one-dimensional subspaces with a homogeneous penalty (a single
     direction; the maximizing support is the top-k of the coordinate
-    penalties), and for a 1-homogeneous penalty in any dimension while the
-    C(n, l-1) vertex lines are within the enumeration cap (``vertex_enum``).
-    A measure routed to l1 (:func:`_l1_routed`) has l1's constant within
+    penalties), and in any dimension while the C(n, l-1) vertex lines are
+    within the enumeration cap (``vertex_enum``): for a 1-homogeneous
+    penalty and ``l0`` at every k, and for ``lp`` at k = 1; for ``lp`` at
+    k >= 2 the best vertex line is a lower bound (``is_lower_bound``).  A
+    measure routed to l1 (:func:`_l1_routed`) has l1's constant within
     the cap (``l1_dominance``), exact as a supremum: the ratio tends to it
     along t times the witness as t -> 0.  Otherwise the reported value is
     the best found and is flagged as a lower bound.  A ratio with vanishing
@@ -671,21 +669,24 @@ def nsc(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NscReport:
     return _nsc_from_scan(sub, cost, k, _validated_scan(sub, cost, k, seed))
 
 
+def _theta(q: float) -> float:
+    return q / (1.0 - q) if q < 1.0 else math.inf
+
+
 def _nsc_from_scan(sub, cost, k, scan) -> NscReport:
     best = scan.cands[0]
     witness = best.scale * best.direction
     support = _support_of(witness, cost.measure, k)
-    theta = best.q / (1.0 - best.q) if best.q < 1.0 else math.inf
     l = sub.dim
     if scan.band_search is not None:
         method = "l1_dominance"
     elif l == 1:
         method = "exact_1d"
-    elif scan.exact:
+    elif scan.search is not None:
         method = "vertex_enum"
     else:
         method = "sphere_enum" if l == 2 else "multistart"
-    return NscReport(theta, witness, support, method, scan.evaluations, not scan.exact)
+    return NscReport(_theta(best.q), witness, support, method, scan.evaluations, not scan.exact)
 
 
 @dataclass
@@ -701,9 +702,9 @@ def erc_member(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> ErcV
     """Membership of the exact-recovery set, with a margin.
 
     For homogeneous penalties the test is theta < 1 with margin 1 - theta
-    (exact in dimension one, and for l1 within the vertex enumeration
-    cap).  For general penalties it is the strict inequality search of
-    :func:`nsp_check`, whose normalized margin is returned; a measure routed
+    (exact where :func:`nsc` is).  For general penalties it is the strict
+    inequality search of :func:`nsp_check`, whose normalized margin is
+    returned; a measure routed
     to l1 takes, off the band, l1's verdict and theta with the margin
     1 - 2 gamma (``l1_dominance``).
     """
@@ -725,8 +726,7 @@ def _erc_from_scan(sub, cost, k, scan) -> ErcVerdict:
     theta, method = None, "deficit_search"
     if scan.band_search is not None and scan.decision() is not None:
         # decided off the band by the l1 scan alone
-        report = _nsc_from_scan(sub, cost, k, scan)
-        theta, method = report.theta, report.method
+        theta, method = _theta(scan.cands[0].q), "l1_dominance"
     return ErcVerdict(
         member=verdict.holds,
         margin=verdict.margin,

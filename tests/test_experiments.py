@@ -11,7 +11,7 @@ from nsp_lab.experiments import (
     verify_counterexample1,
     wilson_interval,
 )
-from nsp_lab.measures import CostFunction, builtin_measure, parse_measure
+from nsp_lab.measures import CostFunction, builtin_measure
 from nsp_lab.nsp import ce1_membership, erc_member
 from nsp_lab.subspaces import gaussian_measurement, null_space
 
@@ -94,8 +94,8 @@ class TestMonteCarlo:
         parallel = mc_probability(cfg, threads=2)
         assert serial.erc == parallel.erc
         assert serial.rrc == parallel.rrc
-        # the planes and the lines of a worker's trials are scanned in
-        # other lockstep blocks than those of a serial run
+        # a worker's trials are drawn, scanned and decided in other groups
+        # than those of a serial run
         for n, m, measure in ((5, 3, "mcp_zap(alpha=2)"), (4, 3, "exp_ce1")):
             cfg = ExperimentConfig(n=n, m=m, k=1, measure=measure, trials=37, seed=5)
             assert mc_probability(cfg, threads=1) == mc_probability(cfg, threads=2)
@@ -143,13 +143,13 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("d_grid", [(1e-3,), (1e-3, 1e-2, 1e-1)])
     def test_one_scan_per_trial(self, monkeypatch, d_grid):
         scanned = []
-        scan = experiments._scan_subspaces
+        scan = experiments._scan_subspace
 
-        def counted(subs, *args):
-            scanned.extend(subs)
-            return scan(subs, *args)
+        def counted(sub, *args):
+            scanned.append(sub)
+            return scan(sub, *args)
 
-        monkeypatch.setattr(experiments, "_scan_subspaces", counted)
+        monkeypatch.setattr(experiments, "_scan_subspace", counted)
         mc_probability(ExperimentConfig(n=5, m=3, k=1, trials=4, d_grid=d_grid, seed=2))
         assert len(scanned) == 4
 
@@ -158,14 +158,14 @@ class TestMonteCarlo:
         """Make the scan of one trial's subspace raise ``error``."""
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial]))
         bad = experiments._trial_subspace(cfg, rng, None).basis
-        scan = experiments._scan_subspaces
+        scan = experiments._scan_subspace
 
-        def fails_on_one(subs, *args):
-            if any(np.array_equal(sub.basis, bad) for sub in subs):
+        def fails_on_one(sub, *args):
+            if np.array_equal(sub.basis, bad):
                 raise error("scan failed")
-            return scan(subs, *args)
+            return scan(sub, *args)
 
-        monkeypatch.setattr(experiments, "_scan_subspaces", fails_on_one)
+        monkeypatch.setattr(experiments, "_scan_subspace", fails_on_one)
 
     @pytest.mark.parametrize("error", [TypeError, AttributeError, AssertionError, ValueError])
     def test_programming_errors_propagate(self, monkeypatch, error):
@@ -184,7 +184,6 @@ class TestMonteCarlo:
         cfg = ExperimentConfig(n=5, m=3, k=1, measure=measure, trials=6,
                                d_grid=(1e-3, 0.1), seed=4)
         indices = list(range(cfg.trials))
-        assert experiments._lockstep_block(parse_measure(measure), 5, 2) >= cfg.trials
         rows = experiments._run_trials(cfg, indices)
         self.failing_scan(monkeypatch, cfg, 2, ValueError)
         failed = experiments._run_trials(cfg, indices)
@@ -196,7 +195,7 @@ class TestMonteCarlo:
         def fails(*args):
             raise ValueError("scan failed")
 
-        monkeypatch.setattr(experiments, "_scan_subspaces", fails)
+        monkeypatch.setattr(experiments, "_scan_subspace", fails)
         cfg = ExperimentConfig(n=5, m=3, k=1, trials=3, d_grid=(1e-3, 1e-2), seed=2)
         summary = mc_probability(cfg)
         assert (summary.trials, summary.failures) == (0, 3)

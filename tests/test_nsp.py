@@ -131,17 +131,21 @@ class TestNsc:
                 assert report.theta == pytest.approx(theta_line_oracle(gen, p, 2), rel=1e-9)
 
     def test_plane_lower_bound_vs_line_members(self):
-        # for a 2-plane the search must reach at least the value of any
-        # member line it contains
+        # the vertex value, exact at k = 1, and the angle-grid search, a
+        # lower bound, must both reach the value of any member line of a
+        # 2-plane; the search must not pass the vertex value
         rng = np.random.default_rng(11)
         sub = sample_haar(5, 2, rng)
-        report = nsc(sub, cost(builtin_measure("lp", p=0.5), 5), 1)
-        assert report.method == "sphere_enum"
-        assert report.is_lower_bound
+        half = builtin_measure("lp", p=0.5)
+        report = nsc(sub, cost(half, 5), 1)
+        assert report.method == "vertex_enum"
+        assert not report.is_lower_bound
+        found = nsp._theta(nsp._search_subspace(sub, half, 1, None)[0][0].q)
+        assert found <= report.theta * (1.0 + 1e-12)
         for _ in range(200):
             w = rng.standard_normal(2)
             member = sub.basis @ (w / np.linalg.norm(w))
-            assert theta_line_oracle(member, 0.5, 1) <= report.theta + 1e-6
+            assert theta_line_oracle(member, 0.5, 1) <= min(report.theta, found) + 1e-6
 
     def test_scale_invariance_under_rebasis(self):
         rng = np.random.default_rng(12)
@@ -157,14 +161,18 @@ class TestNsc:
     def test_multistart_on_three_dimensional_subspace(self):
         rng = np.random.default_rng(17)
         sub = sample_haar(7, 3, rng)
-        report = nsc(sub, cost(builtin_measure("lp", p=0.5), 7), 1)
-        assert report.method == "multistart"
-        assert report.is_lower_bound
-        # any member line bounds the subspace value from below
+        half = builtin_measure("lp", p=0.5)
+        report = nsc(sub, cost(half, 7), 1)
+        assert report.method == "vertex_enum"
+        assert not report.is_lower_bound
+        # the multistart search, a lower bound, stays below the vertex value
+        found = nsp._theta(nsp._search_subspace(sub, half, 1, np.random.default_rng(0))[0][0].q)
+        assert found <= report.theta * (1.0 + 1e-12)
+        # any member line bounds both values from below
         for _ in range(100):
             w = rng.standard_normal(3)
             member = sub.basis @ (w / np.linalg.norm(w))
-            assert theta_line_oracle(member, 0.5, 1) <= report.theta + 1e-6
+            assert theta_line_oracle(member, 0.5, 1) <= min(report.theta, found) + 1e-6
 
     def test_theta_continuity_under_perturbation(self):
         rng = np.random.default_rng(13)
@@ -504,10 +512,14 @@ def serial_refine_scale(direction, measure, k):
     return q0, t0
 
 
+def search_scan(sub, measure, k, rng):
+    """The scan as the search alone gives it, certifying no radius."""
+    cands, evals = nsp._search_subspace(sub, measure, k, rng)
+    return nsp._Scan(cands, evals, sub.dim == 1 and measure.is_homogeneous, 0.0)
+
+
 def serial_scan(sub, measure, k, rng=None):
-    """Scan of a line or a plane with the peaks refined one at a time.
-    It certifies no radius, so it stands in for the scan of a measure
-    that declares no dominance."""
+    """:func:`search_scan` with the peaks refined one at a time."""
     cands, evals = serial_search(sub, measure, k)
     return nsp._Scan(cands, evals, sub.dim == 1 and measure.is_homogeneous, 0.0)
 
@@ -630,42 +642,18 @@ class TestBatchedSearch:
                 # columns, and BLAS rounds basis @ w differently for the two
                 sub = sample_haar(n, dim, rng) if n % 2 else draw_null_space(n, dim, rng)
                 k = int(rng.integers(0, min(n, 4)))
-                scan = nsp._scan_subspace(sub, measure, k, None)
+                cands, evals = nsp._search_subspace(sub, measure, k, None)
                 ref, ref_evals = serial_search(sub, measure, k)
-                assert scan.evaluations == ref_evals
-                assert [(c.q, c.scale) for c in scan.cands] == [(c.q, c.scale) for c in ref]
-                for c, r in zip(scan.cands, ref):
+                assert evals == ref_evals
+                assert [(c.q, c.scale) for c in cands] == [(c.q, c.scale) for c in ref]
+                for c, r in zip(cands, ref):
                     assert np.array_equal(c.direction, r.direction)
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_lockstep_matches_one_at_a_time(self, monkeypatch, dim):
-        rng = np.random.default_rng(48 + dim)
-        for n in range(3, 14):
-            for measure in GRID:
-                k = int(rng.integers(0, min(n, 4)))
-                subs = [sample_haar(n, dim, rng) if i % 2 else draw_null_space(n, dim, rng)
-                        for i in range(7)]
-                alone = [nsp._scan_subspace(sub, measure, k, None) for sub in subs]
-                # a budget of six subspaces' refinement rows: a Monte Carlo
-                # block is 6 subspaces, so 7 are more than one, and the
-                # kernel splits the grid and the rows of 7 into blocks
-                rows = 1 if dim == 1 else nsp.REFINE_PEAKS
-                monkeypatch.setattr(nsp, "ELEMENT_BUDGET",
-                                    6 * nsp._scale_grid(measure).size * rows * n)
-                assert nsp._lockstep_block(measure, n, dim) == 6
-                for size in (1, 2, 7):
-                    batch = nsp._scan_subspaces(subs[:size], measure, k, [None] * size)
-                    for got, ref in zip(batch, alone[:size], strict=True):
-                        assert got.evaluations == ref.evaluations
-                        assert [(c.q, c.scale) for c in got.cands] == [(c.q, c.scale) for c in ref.cands]
-                        for c, r in zip(got.cands, ref.cands):
-                            assert np.array_equal(c.direction, r.direction)
-                monkeypatch.undo()
 
     def test_probe_matches_single_evaluation_search(self, monkeypatch):
         # the dominance flag is cleared so that no radius is certified and
-        # every probe runs its attack; lp(p=0.7) is homogeneous but not
-        # 1-homogeneous, so its planes take the angle grid at scale 1
+        # every probe runs its attack; both sides scan with the search,
+        # which lp(p=0.7) runs on the angle grid at scale 1 (its own scans
+        # take the vertex lines)
         rng = np.random.default_rng(46)
         lp07, exp, mcp, lp_half, scad = (
             dataclasses.replace(m, ratio_nonincreasing=None)
@@ -676,6 +664,7 @@ class TestBatchedSearch:
             sub = sample_haar(n, dim, rng)
             for d in (1e-3, 0.1):
                 cases.append((sub, cost(measure, n), d))
+        monkeypatch.setattr(nsp, "_scan_subspace", search_scan)
         batched = [rrc_probe(sub, c, 1, d, budget=20_000) for sub, c, d in cases]
         monkeypatch.setattr(nsp, "_scan_subspace", serial_scan)
         monkeypatch.setattr(nsp, "_attack_quick", serial_quick)

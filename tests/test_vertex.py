@@ -1,10 +1,12 @@
-"""Exact l1 certificates from the vertex lines of the null space, and the
+"""Exact certificates from the vertex lines of the null space, and the
 certified robust radius they give.
 
-The oracle for gamma = max ||z_T||_1 / ||z||_1 over the null space N is one
-linear program per support T of size k and sign pattern s on it:
+The oracle for the l1 gamma = max ||z_T||_1 / ||z||_1 over the null space N
+is one linear program per support T of size k and sign pattern s on it:
 max s . z_T subject to z in N and ||z||_1 <= 1 (scipy's HiGHS).  The
-maximum over (T, s) is gamma, and theta = gamma / (1 - gamma).
+maximum over (T, s) is gamma, and theta = gamma / (1 - gamma).  The oracle
+for lp at k = 1 solves, per coordinate i, for the points of N with z_i = 1
+and l - 1 other coordinates zero.
 """
 
 import dataclasses
@@ -17,8 +19,14 @@ from scipy.optimize import linprog
 
 from nsp_lab import nsp
 from nsp_lab.measures import CostFunction, SparsenessMeasure, builtin_measure
-from nsp_lab.nsp import nsc, rrc_probe
-from nsp_lab.subspaces import Subspace, sample_haar
+from nsp_lab.nsp import nsc, nsp_check, rrc_probe
+from nsp_lab.subspaces import (
+    MeasurementMatrix,
+    Subspace,
+    gaussian_measurement,
+    null_space,
+    sample_haar,
+)
 
 L1 = builtin_measure("l1")
 DOMINATED = (builtin_measure("lp", p=0.5), builtin_measure("exp_ce1"),
@@ -42,6 +50,26 @@ def lp_gamma(basis, k):
                           bounds=bounds, method="highs")
             assert res.status == 0
             best = max(best, -res.fun)
+    return best
+
+
+def lp_gamma_k1(basis, p):
+    """gamma at k = 1 under lp: the largest |z_i|^p / sum_j |z_j|^p over the
+    points of N with z_i = 1 and l - 1 other coordinates exactly zero, each
+    solved on its own.  The ratio is concave on each orthant piece of
+    {z in N : z_i = 1}, so its maximum lies at a vertex of a piece, and
+    every vertex is among these points."""
+    n, l = basis.shape
+    best = 0.0
+    for i in range(n):
+        for zeros in itertools.combinations([j for j in range(n) if j != i], l - 1):
+            rows = basis[[i, *zeros]]
+            if np.linalg.matrix_rank(rows) < l:
+                continue
+            z = basis @ np.linalg.solve(rows, np.eye(l)[0])
+            z[list(zeros)] = 0.0
+            f = np.abs(z) ** p
+            best = max(best, f[i] / f.sum())
     return best
 
 
@@ -110,7 +138,7 @@ class TestExactTheta:
                 assert ratios.max() == pytest.approx(kappa, rel=1e-4)
             gamma = nsc(sub, CostFunction(L1, n), 1).theta
             gamma = gamma / (1.0 + gamma)
-            radius = nsp._l1_vertex_scan(sub.basis, 1).sound_radius
+            radius = nsp._vertex_scan(sub.basis, L1, 1).sound_radius
             assert radius == pytest.approx(max(1.0 - 2.0 * gamma, 0.0) / (math.sqrt(n) * kappa),
                                            rel=1e-12)
 
@@ -141,7 +169,7 @@ class TestCertifiedRadius:
         for trial in range(30):
             n, dim = ((5, 2), (4, 1), (6, 2), (6, 3))[trial % 4]
             sub = sample_haar(n, dim, rng)
-            radius = nsp._l1_vertex_scan(sub.basis, 1).sound_radius
+            radius = nsp._vertex_scan(sub.basis, L1, 1).sound_radius
             if radius == 0.0:
                 continue
             certified += 1
@@ -159,7 +187,7 @@ class TestCertifiedRadius:
         for trial in range(40):
             n, dim = ((5, 2), (6, 2), (6, 3))[trial % 3]
             sub = sample_haar(n, dim, rng)
-            radius = nsp._l1_vertex_scan(sub.basis, 1).sound_radius
+            radius = nsp._vertex_scan(sub.basis, L1, 1).sound_radius
             if radius > 0.0:
                 cases += [(sub, d, trial) for d in (2.0 * radius, 0.2) if d > radius]
         got = [rrc_probe(sub, CostFunction(L1, sub.ambient_dim), 1, d, seed=s)
@@ -193,3 +221,71 @@ class TestCertifiedRadius:
                                   budget=2_000)
                 assert probe.outcome != "passed_sound", measure.name
                 assert probe.certified_radius == 0.0
+
+
+class TestPowerLaws:
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+    def test_lp_gamma_at_k1_matches_the_solve_oracle(self, p):
+        rng = np.random.default_rng(80)
+        measure = builtin_measure("lp", p=p)
+        for n, dim in ((4, 2), (5, 2), (7, 2), (6, 3), (7, 3), (7, 4)):
+            sub = sample_haar(n, dim, rng)
+            gamma = lp_gamma_k1(sub.basis, p)
+            report = nsc(sub, CostFunction(measure, n), 1)
+            assert (report.method, report.is_lower_bound) == ("vertex_enum", False)
+            assert report.theta == pytest.approx(gamma / (1.0 - gamma), rel=1e-12), (n, dim)
+            if dim == 2:   # a fine angle grid never passes the oracle
+                ang = np.linspace(0.0, math.pi, 200_001)
+                f = np.abs(sub.basis @ np.vstack([np.cos(ang), np.sin(ang)])) ** p
+                assert (f.max(axis=0) / f.sum(axis=0)).max() <= gamma * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_l0_theta_counts_the_sparsest_null_vector(self, k):
+        # a Gaussian null space of dimension l has no nonzero vector with
+        # more than l - 1 zeros, and the vertex lines have l - 1
+        rng = np.random.default_rng(81 + k)
+        l0 = builtin_measure("l0")
+        for n, dim in ((6, 3), (6, 2), (7, 2), (7, 3), (8, 4)):
+            sub = null_space(gaussian_measurement(n - dim, n, rng))
+            report = nsc(sub, CostFunction(l0, n), k)
+            assert (report.method, report.is_lower_bound) == ("vertex_enum", False)
+            assert report.theta == pytest.approx(k / (n - dim + 1 - k), rel=1e-12), (n, dim)
+
+    @pytest.mark.parametrize("p,seed", [(0.5, 5), (0.5, 6), (0.5, 8), (0.5, 17), (0.7, 14)])
+    def test_a_vertex_line_fails_where_the_search_passed(self, p, seed):
+        # the hill climb held these null spaces strictly, by margins of
+        # 0.014 to 0.083; a vertex line violates
+        c = CostFunction(builtin_measure("lp", p=p), 7)
+        verdict = nsp_check(sample_haar(7, 4, np.random.default_rng(seed)), c, 1)
+        assert verdict.status == "fails"
+        z, support = verdict.witness_z, verdict.witness_T
+        assert 2.0 * c.value(z, support) >= c.value(z)
+
+    def test_vertex_values_are_those_of_the_zeroed_lines(self):
+        # the SVD leaves ~1e-16 on a line's l - 1 zeros, and (1e-16)^0.1 is
+        # 0.025: the lines are ranked as exactly zeroed copies
+        p01 = builtin_measure("lp", p=0.1)
+        rng = np.random.default_rng(82)
+        for n, dim in ((6, 3), (7, 2), (7, 4)):
+            sub = sample_haar(n, dim, rng)
+            lines = np.vstack(list(nsp._vertex_lines(sub.basis)))
+            zeroed = lines.copy()
+            np.put_along_axis(zeroed, np.argsort(np.abs(lines), axis=1)[:, :dim - 1], 0.0, axis=1)
+            assert not np.array_equal(lines, zeroed)
+            q = [float(f.max() / f.sum()) for f in p01.fn(np.abs(zeroed))]
+            scan = nsp._scan_subspace(sub, p01, 1, None)
+            assert [c.q for c in scan.cands] == sorted(q, reverse=True)[:nsp.REFINE_PEAKS]
+
+    def test_a_degenerate_vertex_keeps_all_its_zeros(self):
+        # this integer matrix's null space holds (-2, 0, 0, 1, 1): two zeros
+        # where a plane's vertex line has l - 1 = 1, so each of the two lines
+        # it is enumerated from carries rounding on its other zero
+        a = MeasurementMatrix(np.array([[1, 2, -3, 2, 0], [0, 1, -1, 3, -3],
+                                        [-2, -1, 0, -1, -3]], dtype=float))
+        sub = null_space(a)
+        for measure, theta in ((builtin_measure("l0"), 0.5),
+                               (builtin_measure("lp", p=0.7), 2.0 ** 0.7 / 2.0)):
+            report = nsc(sub, CostFunction(measure, 5), 1)
+            assert not report.is_lower_bound
+            assert report.theta == pytest.approx(theta, rel=1e-14)
+            assert sub.contains(report.witness_z)
