@@ -24,14 +24,16 @@ from .nsp import (
     _golden_max,
     _rrc_from_scan,
     _scan_subspace,
+    _stacked_vertex_scans,
 )
-# unused here; nspbench/tracer.py intercepts these two names on this module
+# unused here; nspbench/tracer.py intercepts these three names on this module
 from .nsp import erc_member, rrc_probe  # noqa: F401
+from .subspaces import gaussian_measurement  # noqa: F401
 from .solver import adversarial_pair
 from .subspaces import (
     MeasurementMatrix,
+    _null_spaces,
     as_rng,
-    gaussian_measurement,
     null_space,
     read_matrix_csv,
     sample_haar,
@@ -140,25 +142,53 @@ class MonteCarloSummary:
     rrc_sound: dict            # d -> WilsonInterval
 
 
-def _trial_subspace(cfg: ExperimentConfig, rng, fixed: MeasurementMatrix | None):
+_TRIAL_BLOCK = 512   # trials drawn and scanned as one stack
+
+
+def _trial_subspaces(cfg: ExperimentConfig, rngs, fixed: MeasurementMatrix | None) -> list:
+    """Each trial's null space, drawn from the trial's own generator; None
+    where a Gaussian draw is rejected as :class:`MeasurementMatrix` rejects
+    it.  The Gaussian draws are factored as one stack, bit for bit as one
+    by one (:func:`subspaces._null_spaces`)."""
     if cfg.matrix_source == "gaussian_iid":
-        return null_space(gaussian_measurement(cfg.m, cfg.n, rng))
+        draws = np.stack([rng.standard_normal((cfg.m, cfg.n)) for rng in rngs])
+        return _null_spaces(draws / math.sqrt(cfg.n))
     if cfg.matrix_source == "haar_nullspace":
-        return sample_haar(cfg.n, cfg.n - cfg.m, rng)
-    return null_space(fixed)
+        return [sample_haar(cfg.n, cfg.n - cfg.m, rng) for rng in rngs]
+    return [null_space(fixed)] * len(rngs)
+
+
+def _trial_subspace(cfg: ExperimentConfig, rng, fixed: MeasurementMatrix | None):
+    """One trial's null space, drawn alone."""
+    return _trial_subspaces(cfg, [rng], fixed)[0]
 
 
 def _run_trials(cfg: ExperimentConfig, indices) -> list:
     """One row per trial: (valid, member, margin, probe outcome per radius).
 
-    Three phases: every trial's null space is drawn, then each is scanned
-    once (:func:`nsp._scan_subspace`), then each is decided from its own
-    scan.  Each step of a trial runs in that trial's guard, so a failing
-    trial fails alone.  The phases are grouped, not run trial by trial,
-    because that is faster: trial by trial, an l1 (5, 3, 1) batch of 8
-    trials took 15-18% longer (1.25 -> 1.44 ms, best of 15 runs of 20
-    batches, in one process) and an exp_ce1 (4, 3, 1) batch of 14 21-23%.
+    Trials run in blocks of ``_TRIAL_BLOCK``, which bounds the stacked
+    arrays, in three phases.  Every trial's null space is drawn from its
+    own generator, and the draws are factored as one stack
+    (:func:`_trial_subspaces`); the problem is checked once, as it reads
+    only the cost, k and n.  The vertex lines of all null spaces are then
+    scanned as one stack (:func:`nsp._stacked_vertex_scans`), and each
+    trial's scan is completed by :func:`nsp._scan_subspace` in the trial's
+    guard.  Then each trial is decided from its own scan, in its guard.  A
+    failing trial fails alone: a rejected draw fails its trial, and a
+    stacked step that raises is redone trial by trial.  Each row is the
+    one the trial gives alone.
+
+    Stacking saves most of the per-trial numpy calls.  In one process, a
+    batch of the benchmark's mix (l1 (5, 3, 1) x 8, exp_ce1 (4, 3, 1) x 14,
+    mcp_zap (5, 3, 1) x 4) took 1.45-1.71 ms with a draw and a vertex scan
+    per trial, and 1.04-1.08 ms stacked (3 runs of 700 batches on a
+    2-core x86_64 machine; BENCH_mc_stacked.json).  The phases stay
+    grouped: before stacking, running the same steps trial by trial cost
+    15-23% per batch.
     """
+    if len(indices) > _TRIAL_BLOCK:
+        return [row for lo in range(0, len(indices), _TRIAL_BLOCK)
+                for row in _run_trials(cfg, indices[lo:lo + _TRIAL_BLOCK])]
     cost = CostFunction(parse_measure(cfg.measure), cfg.n)
     fixed = None
     if cfg.matrix_source == "file":
@@ -174,12 +204,16 @@ def _run_trials(cfg: ExperimentConfig, indices) -> list:
         except Exception:   # certificate failures are counted, never silent
             return None
 
-    def draw(idx):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, int(idx)]))
-        sub = _trial_subspace(cfg, rng, fixed)
-        seed = int(rng.integers(2**32))
-        _check_problem(sub, cost, cfg.k)
-        return sub, seed
+    def draw(block):
+        rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, int(idx)]))
+                for idx in block]
+        subs = _trial_subspaces(cfg, rngs, fixed)
+        seeds = [int(rng.integers(2**32)) for rng in rngs]
+        drawn = [(j, sub, seed) for j, (sub, seed) in enumerate(zip(subs, seeds))
+                 if sub is not None]
+        if drawn:
+            _check_problem(drawn[0][1], cost, cfg.k)
+        return drawn
 
     def decide(sub, scan):
         # one scan answers both questions, so the robust verdicts are
@@ -189,13 +223,14 @@ def _run_trials(cfg: ExperimentConfig, indices) -> list:
                     for d in cfg.d_grid]
         return True, verdict.member, verdict.margin, outcomes
 
-    drawn = []
-    for j, idx in enumerate(indices):
-        trial = guarded(draw, idx)
-        if trial is not None:
-            drawn.append((j, *trial))
-    scanned = [(j, sub, guarded(_scan_subspace, sub, cost.measure, cfg.k, as_rng(seed)))
-               for j, sub, seed in drawn]
+    drawn = guarded(draw, indices)
+    if drawn is None:
+        drawn = [(j, sub, seed) for j, idx in enumerate(indices)
+                 for _, sub, seed in guarded(draw, [idx]) or ()]
+    subs = [sub for _, sub, _ in drawn]
+    vertex = guarded(_stacked_vertex_scans, subs, cost.measure, cfg.k) or [None] * len(subs)
+    scanned = [(j, sub, guarded(_scan_subspace, sub, cost.measure, cfg.k, as_rng(seed), v))
+               for (j, sub, seed), v in zip(drawn, vertex)]
     for j, sub, scan in scanned:
         if scan is not None:
             out[j] = guarded(decide, sub, scan) or failed

@@ -342,23 +342,27 @@ def _l1_decision(cands, measure, k):
     return None
 
 
-def _vertex_lines(basis: Array):
-    """Unit vectors on the vertex lines of N ∩ {||z||_1 <= 1}, in batches.
+def _vertex_lines(bases: Array):
+    """Unit vectors on the vertex lines of N ∩ {||z||_1 <= 1} for each
+    basis of a (T, n, l) stack, in batches of (T, c, n) lines with the
+    (T, c) mask of those that count.
 
     A vertex has zero coordinates Z with rank B[Z] = l - 1, so it spans
     {z in N : z_S = 0} for some (l-1)-subset S of Z with rank B[S] = l - 1.
     Every (l-1)-subset is solved with one batched SVD; those rank-deficient
-    by numpy's ``matrix_rank`` tolerance are skipped, which loses no vertex.
+    by numpy's ``matrix_rank`` tolerance are masked, which loses no vertex.
+    No batch holds a lone subset (:func:`_batches`), whose line numpy would
+    map by a matrix-vector product, which rounds differently.
     """
-    n, l = basis.shape
+    t, n, l = bases.shape
     if l == 1:
-        yield basis.T
+        yield bases.transpose(0, 2, 1), np.ones((t, 1), dtype=bool)
         return
-    subsets = itertools.combinations(range(n), l - 1)
-    while chunk := list(itertools.islice(subsets, _VERTEX_CHUNK)):
-        _, sv, vt = np.linalg.svd(basis[np.array(chunk)])
-        full = sv[:, -1] > sv[:, 0] * l * _EPS
-        yield vt[full, -1, :] @ basis.T
+    subsets = np.array(list(itertools.combinations(range(n), l - 1)))
+    for lo, hi in _batches(len(subsets), max(2, _VERTEX_CHUNK // t)):
+        _, sv, vt = np.linalg.svd(bases[:, subsets[lo:hi]])
+        yield (np.matmul(vt[:, :, -1, :], bases.transpose(0, 2, 1)),
+               sv[..., -1] > sv[..., 0] * l * _EPS)
 
 
 def _power_law(measure: SparsenessMeasure) -> bool:
@@ -369,7 +373,7 @@ def _power_law(measure: SparsenessMeasure) -> bool:
 def _vertex_scan(basis: Array, measure: SparsenessMeasure, k: int) -> _Scan:
     """Scan of the vertex lines under a power law (:func:`_power_law`): the
     lines with the highest q = J(z_T) / J(z) (T the top-k support), best
-    first, and r(N).
+    first, and r(N).  The one-basis case of :func:`_vertex_scans`.
 
     gamma = max ||z_T||_1 / ||z||_1 and kappa = max ||z||_2 / ||z||_1 are
     read off the lines as the SVD gives them.  With u = z + e,
@@ -389,53 +393,83 @@ def _vertex_scan(basis: Array, measure: SparsenessMeasure, k: int) -> _Scan:
     every k, and for ``lp`` at k = 1 and on a line (module docstring); for
     ``lp`` at k >= 2 it is a lower bound (``exact`` False).
     """
-    n, l = basis.shape
+    return _vertex_scans(basis[None], measure, k)[0]
+
+
+def _vertex_scans(bases: Array, measure: SparsenessMeasure, k: int) -> list:
+    """:func:`_vertex_scan` of each basis of a (T, n, l) stack, each as the
+    basis gives it alone: its maxima are over its own lines, and a stable
+    sort along its row ranks them, the masked ones last."""
+    t, n, l = bases.shape
     p = measure.homogeneity_degree
     zero = TOL.membership / (2.0 * math.sqrt(n))
-    qs, lines = np.zeros(0), np.zeros((0, n))
-    gamma, kappa, scored = 0.0, 0.0, 0
-    for z in _vertex_lines(basis):
-        if not len(z):
-            continue
-        top, tot = _topk_total(np.abs(z), k, axis=1)
-        kappa = max(kappa, float((np.linalg.norm(z, axis=1) / tot).max()))
+    qs, lines = np.zeros((t, 0)), np.zeros((t, 0, n))
+    gamma, kappa, scored = np.zeros(t), np.zeros(t), np.zeros(t, dtype=int)
+    for z, full in _vertex_lines(bases):
+        top, tot = _topk_total(np.abs(z), k, axis=2)
+        np.maximum(kappa, np.where(full, np.linalg.norm(z, axis=2) / tot, 0.0).max(axis=1),
+                   out=kappa)
         q = top / tot
-        gamma = max(gamma, float(q.max()))
-        scored += len(z)
+        np.maximum(gamma, np.where(full, q, 0.0).max(axis=1), out=gamma)
+        scored += full.sum(axis=1)
         if p != 1.0:
             z = np.where(np.abs(z) > zero, z, 0.0)
-            top, tot = _topk_total(measure.fn(np.abs(z)), k, axis=1)
+            top, tot = _topk_total(measure.fn(np.abs(z)), k, axis=2)
             q = top / tot
-        qs = np.concatenate([qs, q])
-        lines = np.concatenate([lines, z])
-        keep = np.argsort(-qs, kind="stable")[:REFINE_PEAKS]
-        qs, lines = qs[keep], lines[keep]
+        qs = np.concatenate([qs, np.where(full, q, -np.inf)], axis=1)
+        lines = np.concatenate([lines, z], axis=1)
+        keep = np.argsort(-qs, axis=1, kind="stable")[:, :REFINE_PEAKS]
+        qs, lines = np.take_along_axis(qs, keep, 1), np.take_along_axis(lines, keep[..., None], 1)
     certified = p == 1.0 or _dominated(measure)
-    radius = max(1.0 - 2.0 * gamma, 0.0) / (math.sqrt(n) * kappa) if certified else 0.0
-    cands = [_Candidate(float(q), z, 1.0) for q, z in zip(qs, lines)]
-    return _Scan(cands, scored * n, p in (0.0, 1.0) or k <= 1 or l == 1, radius)
+    exact = p in (0.0, 1.0) or k <= 1 or l == 1
+    scans = []
+    for q, z, g, kap, count in zip(qs, lines, gamma.tolist(), kappa.tolist(), scored.tolist()):
+        radius = max(1.0 - 2.0 * g, 0.0) / (math.sqrt(n) * kap) if certified else 0.0
+        live = q > -np.inf
+        cands = [_Candidate(float(v), d, 1.0) for v, d in zip(q[live], z[live])]
+        scans.append(_Scan(cands, count * n, exact, radius))
+    return scans
 
 
-def _scan_subspace(sub, measure, k, rng) -> _Scan:
+def _vertex_ranking(sub, measure: SparsenessMeasure) -> SparsenessMeasure | None:
+    """The measure whose vertex lines rank the scan of ``sub``
+    (:func:`_scan_subspace`), or None when the subspace is searched."""
+    routed = _l1_routed(measure)
+    if not ((routed or _power_law(measure)) and _enumerable(sub)):
+        return None
+    return _L1 if routed else measure
+
+
+def _stacked_vertex_scans(subs, measure: SparsenessMeasure, k: int) -> list:
+    """Each subspace's ``vertex`` for :func:`_scan_subspace`, from one
+    stacked pass, or None for each when they are searched.  The subspaces
+    share n and l."""
+    ranking = _vertex_ranking(subs[0], measure) if subs else None
+    if ranking is None:
+        return [None] * len(subs)
+    return _vertex_scans(np.stack([sub.basis for sub in subs]), ranking, k)
+
+
+def _scan_subspace(sub, measure, k, rng, vertex=None) -> _Scan:
     """Ranked (q, direction, scale) candidates over the subspace.
 
     While the C(n, l-1) vertex lines are within the enumeration cap, a
-    power law takes the vertex scan (:func:`_vertex_scan`), and so does, on
-    l1's ranking, a measure routed to l1 (:func:`_l1_routed`), whose own
-    search waits in ``band_search``.  Beside a vertex scan of a subspace of
-    dim >= 2, ``search`` runs the search once for the probe's attack (a
-    line's one direction is its vertex line).  Every other scan is the
-    search (:func:`_search_subspace`).
+    power law takes the vertex scan (:func:`_vertex_scan`, or ``vertex``
+    when a stacked pass has made it), and so does, on l1's ranking, a
+    measure routed to l1 (:func:`_l1_routed`), whose own search waits in
+    ``band_search``.  Beside a vertex scan of a subspace of dim >= 2,
+    ``search`` runs the search once for the probe's attack (a line's one
+    direction is its vertex line).  Every other scan is the search
+    (:func:`_search_subspace`).
     """
-    routed = _l1_routed(measure)
-    if not ((routed or _power_law(measure)) and _enumerable(sub)):
+    ranking = _vertex_ranking(sub, measure)
+    if ranking is None:
         cands, evals = _search_subspace(sub, measure, k, rng)
         return _Scan(cands, evals, sub.dim == 1 and measure.is_homogeneous, None)
-    ranking = _L1 if routed else measure
-    scan = _vertex_scan(sub.basis, ranking, k)
+    scan = vertex if vertex is not None else _vertex_scan(sub.basis, ranking, k)
     if sub.dim > 1:
         scan.search = functools.cache(functools.partial(_search_subspace, sub, ranking, k, rng))
-    if routed:
+    if ranking is not measure:   # routed to l1
         scan.decision = functools.cache(functools.partial(_l1_decision, scan.cands, measure, k))
         scan.band_search = functools.cache(functools.partial(_search_subspace, sub, measure, k, rng))
     return scan
@@ -592,6 +626,16 @@ def nsp_check(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NspVe
     its F-deficit verifies; inside the band its own search decides.
     """
     return _nsp_from_scan(cost, k, _validated_scan(sub, cost, k, seed))
+
+
+def _nsp_checks(subs, cost: CostFunction, k: int) -> list:
+    """:func:`nsp_check` of each subspace at seed 0, as it gives each
+    alone; the subspaces share n and l, so their vertex lines are scanned
+    as one stack."""
+    _check_problem(subs[0], cost, k)
+    vertex = _stacked_vertex_scans(subs, cost.measure, k)
+    return [_nsp_from_scan(cost, k, _scan_subspace(sub, cost.measure, k, as_rng(0), v))
+            for sub, v in zip(subs, vertex)]
 
 
 def _nsp_from_scan(cost, k, scan) -> NspVerdict:

@@ -140,18 +140,36 @@ def sample_haar(n: int, l: int, rng=0) -> Subspace:
     Draws an n-by-l standard Gaussian matrix and orthonormalizes by QR with
     the sign of the R diagonal folded into Q, which removes the sign bias of
     plain QR.  This matches the law of the null space of a Gaussian matrix
-    of the complementary shape.
+    of the complementary shape.  A draw with a diagonal entry of R within
+    1e-12 of 0 is redrawn, up to eight times.
     """
     if not 1 <= l < n:
         raise ValueError(f"need 1 <= l < n, got l={l}, n={n}")
-    gen = as_rng(rng)
-    for _ in range(8):
-        g = gen.standard_normal((n, l))
-        q, r = np.linalg.qr(g)
-        d = np.diag(r)
-        if np.min(np.abs(d)) > 1e-12:
-            return Subspace(q * np.sign(d))
-    raise RuntimeError("repeatedly drew a rank-deficient Gaussian matrix")  # pragma: no cover
+    return Subspace(_haar_bases(n, l, 1, as_rng(rng))[0])
+
+
+def _haar_bases(n: int, l: int, count: int, gen) -> Array:
+    """The bases of ``count`` successive :func:`sample_haar` draws from
+    ``gen``, as one (count, n, l) stack.
+
+    The Gaussian draws are one call, which gives the numbers of successive
+    calls, and their QR factorizations one stacked call, which factors each
+    matrix on its own, so every basis is sample_haar's bit for bit.  A
+    rejected draw is skipped, as sample_haar redraws it, and eight rejected
+    draws in a row raise, as there.
+    """
+    out, run = [], 0
+    while count:
+        q, r = np.linalg.qr(gen.standard_normal((count, n, l)))
+        d = np.diagonal(r, axis1=1, axis2=2)
+        ok = np.abs(d).min(axis=1) > 1e-12
+        for good in ok.tolist():
+            run = 0 if good else run + 1
+            if run == 8:
+                raise RuntimeError("repeatedly drew a rank-deficient Gaussian matrix")
+        out.append((q * np.sign(d)[:, None, :])[ok])
+        count -= len(out[-1])
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def perturb_subspace(sub: Subspace, z, n_vec) -> Subspace:
@@ -209,7 +227,7 @@ class MeasurementMatrix:
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
         svals = np.linalg.svd(a, compute_uv=False)
-        if svals[0] == 0 or svals[-1] <= max(m, n) * np.finfo(float).eps * svals[0]:
+        if not _full_row_rank(svals[0], svals[-1], m, n):
             raise ValueError("matrix is rank deficient; rows must be independent")
         object.__setattr__(self, "entries", _frozen_array(a))
         object.__setattr__(self, "_svals", _frozen_array(svals))
@@ -248,6 +266,32 @@ class MeasurementMatrix:
         if y.shape != (self.shape[0],):
             raise ValueError(f"y must have length {self.shape[0]}")
         return vrow.T @ ((u.T @ y) / s)
+
+
+def _full_row_rank(first, last, m: int, n: int):
+    """The rank rule of :class:`MeasurementMatrix`: whether m-by-n matrices
+    with largest singular value ``first`` and smallest ``last`` (scalars, or
+    arrays of them) have independent rows."""
+    return (first != 0) & (last > max(m, n) * np.finfo(float).eps * first)
+
+
+def _null_spaces(stack: Array) -> list:
+    """The null space of each m-by-n matrix of a (T, m, n) stack, or None
+    where :class:`MeasurementMatrix` rejects the matrix (entries not finite,
+    or rows dependent).
+
+    Two stacked SVDs, one for the rank rule and one for the null spaces.
+    Each factors every matrix on its own, so each basis is that of
+    ``MeasurementMatrix(a).nullspace`` bit for bit.
+    """
+    _, m, n = stack.shape
+    out = [None] * len(stack)
+    ok = np.flatnonzero(np.isfinite(stack).all(axis=(1, 2)))
+    svals = np.linalg.svd(stack[ok], compute_uv=False)
+    ok = ok[_full_row_rank(svals[:, 0], svals[:, -1], m, n)]
+    for i, vt in zip(ok, np.linalg.svd(stack[ok])[2]):
+        out[i] = Subspace(vt[m:].T)
+    return out
 
 
 def null_space(a: MeasurementMatrix) -> Subspace:

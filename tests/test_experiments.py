@@ -204,6 +204,68 @@ class TestMonteCarlo:
             assert math.isnan(ci.p_hat)
         assert list(summary.rrc) == list(summary.rrc_sound) == [1e-3, 1e-2]
 
+    @pytest.mark.parametrize("measure", ["l1", "exp_ce1", "lp(p=0.5)", "l0"])
+    @pytest.mark.parametrize("source", ["gaussian_iid", "haar_nullspace", "file"])
+    def test_each_trial_is_the_one_it_gives_alone(self, monkeypatch, tmp_path, source,
+                                                   measure):
+        from nsp_lab.subspaces import write_matrix_csv
+
+        path = tmp_path / "fixed.csv"
+        write_matrix_csv(path, gaussian_measurement(3, 6, 7).entries)
+        cfg = ExperimentConfig(n=6, m=3, k=1, measure=measure, trials=7, d_grid=(1e-3, 0.05),
+                               seed=3, matrix_source=source, probe_budget=2_000,
+                               matrix_file=str(path) if source == "file" else None)
+        indices = list(range(cfg.trials))
+        rows = experiments._run_trials(cfg, indices)
+        alone = [experiments._run_trials(cfg, [i])[0] for i in indices]
+        assert repr(rows) == repr(alone)
+        assert all(row[0] for row in rows)
+        monkeypatch.setattr(experiments, "_TRIAL_BLOCK", 3)
+        assert repr(experiments._run_trials(cfg, indices)) == repr(rows)
+
+    def test_rejected_draw_fails_alone(self, monkeypatch):
+        # one trial's Gaussian draw is made non-finite and another's rank
+        # deficient inside the stack, as MeasurementMatrix would reject them
+        cfg = ExperimentConfig(n=5, m=3, k=1, trials=6, d_grid=(1e-3, 0.1), seed=4)
+        indices = list(range(cfg.trials))
+        rows = experiments._run_trials(cfg, indices)
+        null_spaces = experiments._null_spaces
+
+        def corrupted(stack):
+            stack = stack.copy()
+            if len(stack) == cfg.trials:
+                stack[1, 0, 2] = np.inf
+                stack[4, 2] = -stack[4, 0]
+            return null_spaces(stack)
+
+        monkeypatch.setattr(experiments, "_null_spaces", corrupted)
+        got = experiments._run_trials(cfg, indices)
+        failed = (False, False, math.nan, ["violated"] * 2)
+        for i, (row, ref) in enumerate(zip(got, rows)):
+            assert repr(row) == repr(failed if i in (1, 4) else ref)
+        assert mc_probability(cfg).failures == 2
+
+    def test_raising_draw_fails_alone(self, monkeypatch):
+        # a draw that raises makes the stacked draw raise; it is redone
+        # trial by trial, and only the raising trial fails
+        cfg = ExperimentConfig(n=5, m=3, k=1, trials=5, seed=6, matrix_source="haar_nullspace")
+        indices = list(range(cfg.trials))
+        rows = experiments._run_trials(cfg, indices)
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
+        bad = experiments._trial_subspace(cfg, rng, None).basis
+        sample_haar = experiments.sample_haar
+
+        def raises_on_one(*args):
+            sub = sample_haar(*args)
+            if np.array_equal(sub.basis, bad):
+                raise RuntimeError("repeatedly drew a rank-deficient Gaussian matrix")
+            return sub
+
+        monkeypatch.setattr(experiments, "sample_haar", raises_on_one)
+        got = experiments._run_trials(cfg, indices)
+        assert got[3][0] is False
+        assert repr(got[:3] + got[4:]) == repr(rows[:3] + rows[4:])
+
     def test_exp_measure_matches_closed_form_stream(self):
         # same sample stream, exact agreement outside the boundary band
         measure = builtin_measure("exp_ce1")

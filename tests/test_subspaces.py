@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from nsp_lab import subspaces
 from nsp_lab.subspaces import (
     MeasurementMatrix,
     Subspace,
@@ -132,6 +133,78 @@ class TestHaarSampling:
             rotated.append(grassmann_distance(Subspace(rot @ sub2.basis), ref))
         stat = scipy.stats.ks_2samp(plain, rotated)
         assert stat.pvalue > 0.01
+
+
+class StreamGen:
+    """A stand-in generator whose standard normals are a fixed stream."""
+
+    def __init__(self, stream):
+        self.stream, self.at = np.asarray(stream, dtype=float).ravel(), 0
+
+    def standard_normal(self, shape):
+        size = math.prod(shape)
+        out = self.stream[self.at:self.at + size].reshape(shape)
+        self.at += size
+        return out
+
+
+def sequential_haar(n, l, gen):
+    """sample_haar's draw as a plain loop: QR with the sign fix, up to eight
+    tries."""
+    for _ in range(8):
+        q, r = np.linalg.qr(gen.standard_normal((n, l)))
+        d = np.diag(r)
+        if np.min(np.abs(d)) > 1e-12:
+            return q * np.sign(d)
+    raise RuntimeError("repeatedly drew a rank-deficient Gaussian matrix")
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize("n,l", [(6, 2), (5, 1), (9, 4), (12, 7)])
+    def test_haar_stack_is_sample_haar(self, n, l):
+        stacked = subspaces._haar_bases(n, l, 300, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        for basis in stacked:
+            ref = sample_haar(n, l, rng).basis
+            assert np.array_equal(basis, ref)
+            assert np.array_equal(Subspace(basis).basis, ref)
+
+    def test_haar_stack_keeps_the_retry_rule(self):
+        # draws 2, 5 and 6 have a zero column: each is skipped, as
+        # sample_haar redraws it, and the later draws move up
+        n, l = 5, 2
+        blocks = np.random.default_rng(4).standard_normal((14, n, l))
+        blocks[[2, 5, 6], :, 1] = 0.0
+        gen = StreamGen(blocks)
+        ref = [sequential_haar(n, l, gen) for _ in range(11)]
+        assert gen.at == blocks.size
+        stacked = subspaces._haar_bases(n, l, 11, StreamGen(blocks))
+        assert len(stacked) == 11
+        for basis, want in zip(stacked, ref):
+            assert np.array_equal(basis, want)
+        # eight rejected draws in a row raise, as in the loop
+        blocks[3:11, :, 0] = 0.0
+        with pytest.raises(RuntimeError):
+            sequential_haar(n, l, StreamGen(blocks[3:]))
+        with pytest.raises(RuntimeError):
+            subspaces._haar_bases(n, l, 4, StreamGen(blocks))
+
+    @pytest.mark.parametrize("m,n", [(3, 5), (1, 4), (4, 7), (6, 12)])
+    def test_null_space_stack_is_measurement_matrix(self, m, n):
+        stack = np.random.default_rng(5).standard_normal((40, m, n)) / math.sqrt(n)
+        stack[7, 0, 1] = np.nan
+        stack[11, 0] = 0.5 * stack[11, -1]     # dependent rows when m >= 2
+        stack[13] = 0.0
+        rejected = (7, 11, 13) if m > 1 else (7, 13)
+        got = subspaces._null_spaces(stack)
+        for i, sub in enumerate(got):
+            if i in rejected:
+                assert sub is None
+                with pytest.raises(ValueError):
+                    MeasurementMatrix(stack[i])
+            else:
+                assert np.array_equal(sub.basis, MeasurementMatrix(stack[i]).nullspace.basis)
+        assert subspaces._null_spaces(stack[:0]) == []
 
 
 class TestNullSpace:

@@ -73,6 +73,11 @@ def lp_gamma_k1(basis, p):
     return best
 
 
+def vertex_lines(basis):
+    """The lines of one basis that count, from the stacked kernel."""
+    return np.vstack([z[full] for z, full in nsp._vertex_lines(basis[None])])
+
+
 def orthonormal(rows):
     q, _ = np.linalg.qr(np.asarray(rows, dtype=float))
     return Subspace(q)
@@ -113,7 +118,7 @@ class TestExactTheta:
             else:
                 rows[5] = rows[1]
             sub = orthonormal(rows)
-            lines = np.vstack(list(nsp._vertex_lines(sub.basis)))
+            lines = vertex_lines(sub.basis)
             assert len(lines) < math.comb(n, dim - 1)
             for k in (1, 2):
                 gamma = lp_gamma(sub.basis, k)
@@ -124,7 +129,7 @@ class TestExactTheta:
         rng = np.random.default_rng(71)
         for n, dim in ((5, 2), (7, 2), (6, 3), (8, 4)):
             sub = sample_haar(n, dim, rng)
-            lines = np.vstack(list(nsp._vertex_lines(sub.basis)))
+            lines = vertex_lines(sub.basis)
             assert np.allclose(sub.basis @ (sub.basis.T @ lines.T), lines.T, atol=1e-12)
             kappa = (np.linalg.norm(lines, axis=1) / np.abs(lines).sum(axis=1)).max()
             if dim == 2:   # a dense circle approaches the maximum from below
@@ -268,7 +273,7 @@ class TestPowerLaws:
         rng = np.random.default_rng(82)
         for n, dim in ((6, 3), (7, 2), (7, 4)):
             sub = sample_haar(n, dim, rng)
-            lines = np.vstack(list(nsp._vertex_lines(sub.basis)))
+            lines = vertex_lines(sub.basis)
             zeroed = lines.copy()
             np.put_along_axis(zeroed, np.argsort(np.abs(lines), axis=1)[:, :dim - 1], 0.0, axis=1)
             assert not np.array_equal(lines, zeroed)
@@ -289,3 +294,86 @@ class TestPowerLaws:
             assert not report.is_lower_bound
             assert report.theta == pytest.approx(theta, rel=1e-14)
             assert sub.contains(report.witness_z)
+
+
+def reference_scan(basis, measure, k):
+    """The vertex scan of one basis as a plain loop: one matrix product for
+    the lines of all full-rank (l-1)-subsets, ranked by one stable sort."""
+    n, l = basis.shape
+    if l == 1:
+        lines = basis.T.copy()
+    else:
+        subsets = np.array(list(itertools.combinations(range(n), l - 1)))
+        _, sv, vt = np.linalg.svd(basis[subsets])
+        full = sv[:, -1] > sv[:, 0] * l * np.finfo(float).eps
+        lines = vt[full, -1, :] @ basis.T
+    top, tot = nsp._topk_total(np.abs(lines), k, axis=1)
+    gamma = float((top / tot).max())
+    kappa = float((np.linalg.norm(lines, axis=1) / tot).max())
+    p = measure.homogeneity_degree
+    if p != 1.0:
+        zero = nsp.TOL.membership / (2.0 * math.sqrt(n))
+        lines = np.where(np.abs(lines) > zero, lines, 0.0)
+        top, tot = nsp._topk_total(measure.fn(np.abs(lines)), k, axis=1)
+    q = top / tot
+    order = np.argsort(-q, kind="stable")[:nsp.REFINE_PEAKS]
+    certified = p == 1.0 or nsp._dominated(measure)
+    radius = max(1.0 - 2.0 * gamma, 0.0) / (math.sqrt(n) * kappa) if certified else 0.0
+    return q[order], lines[order], len(lines) * n, radius
+
+
+def degenerate_bases():
+    """The fixtures above whose rows are zero, repeated or integer."""
+    rng = np.random.default_rng(70)
+    rows = rng.standard_normal((2, 7, 3))
+    rows[0, 4] = 0.0
+    rows[1, 5] = rows[1, 1]
+    a = MeasurementMatrix(np.array([[1, 2, -3, 2, 0], [0, 1, -1, 3, -3],
+                                    [-2, -1, 0, -1, -3]], dtype=float))
+    return [orthonormal(r).basis for r in rows] + [null_space(a).basis]
+
+
+class TestStackedScan:
+    MEASURES = (L1, builtin_measure("lp", p=0.5), builtin_measure("l0"))
+
+    @staticmethod
+    def assert_scans_match(bases, measure, k):
+        scans = nsp._vertex_scans(np.stack(bases), measure, k)
+        assert len(scans) == len(bases)
+        for basis, scan in zip(bases, scans):
+            q, lines, evals, radius = reference_scan(basis, measure, k)
+            alone = nsp._vertex_scan(basis, measure, k)
+            for got in (scan, alone):
+                assert [c.q for c in got.cands] == q.tolist()
+                assert all(np.array_equal(c.direction, z) for c, z in zip(got.cands, lines))
+                assert (got.evaluations, got.sound_radius) == (evals, radius)
+                assert got.exact == alone.exact
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n,dim", [(4, 1), (5, 2), (7, 2), (6, 3), (8, 4), (9, 3),
+                                       (12, 4), (11, 6)])
+    def test_matches_one_basis_at_a_time(self, n, dim, k):
+        rng = np.random.default_rng(90 + n + dim)
+        bases = [sample_haar(n, dim, rng).basis for _ in range(3)]
+        bases += [null_space(gaussian_measurement(n - dim, n, rng)).basis for _ in range(3)]
+        for measure in self.MEASURES:
+            self.assert_scans_match(bases, measure, k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_degenerate_bases(self, k):
+        bases = degenerate_bases()
+        for measure in self.MEASURES:
+            for basis in bases:    # one stack per shape
+                self.assert_scans_match([basis, basis[::-1].copy()], measure, k)
+
+    def test_stack_spans_several_chunks(self, monkeypatch):
+        # C(12, 3) = 220 subsets per basis: 30 bases make 6600 lines, more
+        # than one _VERTEX_CHUNK; a chunk of 7 cuts every basis's subsets
+        # into batches of 2 and 3
+        rng = np.random.default_rng(91)
+        bases = [sample_haar(12, 4, rng).basis for _ in range(30)]
+        assert 30 * math.comb(12, 3) > nsp._VERTEX_CHUNK
+        self.assert_scans_match(bases, L1, 1)
+        monkeypatch.setattr(nsp, "_VERTEX_CHUNK", 7)
+        self.assert_scans_match(bases[:4], builtin_measure("lp", p=0.5), 2)
+        self.assert_scans_match(degenerate_bases()[:1] * 3, L1, 2)
