@@ -17,15 +17,7 @@ import numpy as np
 
 from .config import TOL
 from .measures import CostFunction, builtin_measure, parse_measure
-from .nsp import (
-    Violation,
-    _check_problem,
-    _erc_from_scan,
-    _golden_max,
-    _rrc_from_scan,
-    _scan_subspace,
-    _stacked_vertex_scans,
-)
+from .nsp import Violation, _erc_from_scan, _golden_max, _rrc_from_scan, _validated_scans
 # unused here; nspbench/tracer.py intercepts these three names on this module
 from .nsp import erc_member, rrc_probe  # noqa: F401
 from .subspaces import gaussian_measurement  # noqa: F401
@@ -33,7 +25,6 @@ from .solver import adversarial_pair
 from .subspaces import (
     MeasurementMatrix,
     _null_spaces,
-    as_rng,
     null_space,
     read_matrix_csv,
     sample_haar,
@@ -158,25 +149,19 @@ def _trial_subspaces(cfg: ExperimentConfig, rngs, fixed: MeasurementMatrix | Non
     return [null_space(fixed)] * len(rngs)
 
 
-def _trial_subspace(cfg: ExperimentConfig, rng, fixed: MeasurementMatrix | None):
-    """One trial's null space, drawn alone."""
-    return _trial_subspaces(cfg, [rng], fixed)[0]
-
-
 def _run_trials(cfg: ExperimentConfig, indices) -> list:
     """One row per trial: (valid, member, margin, probe outcome per radius).
 
     Trials run in blocks of ``_TRIAL_BLOCK``, which bounds the stacked
     arrays, in three phases.  Every trial's null space is drawn from its
     own generator, and the draws are factored as one stack
-    (:func:`_trial_subspaces`); the problem is checked once, as it reads
-    only the cost, k and n.  The vertex lines of all null spaces are then
-    scanned as one stack (:func:`nsp._stacked_vertex_scans`), and each
-    trial's scan is completed by :func:`nsp._scan_subspace` in the trial's
-    guard.  Then each trial is decided from its own scan, in its guard.  A
-    failing trial fails alone: a rejected draw fails its trial, and a
-    stacked step that raises is redone trial by trial.  Each row is the
-    one the trial gives alone.
+    (:func:`_trial_subspaces`).  The null spaces are then scanned as one
+    stack (:func:`nsp._validated_scans`), which checks the problem once
+    and sets each scan's certified radius (``sound_radius``).  Then each
+    trial is decided from its own scan, in its guard.  A failing trial
+    fails alone: a rejected draw fails its trial, and a stacked draw or
+    scan that raises is redone trial by trial, failing the trials whose
+    own step raises.  Each row is the one the trial gives alone.
 
     Stacking saves most of the per-trial numpy calls.  In one process, a
     batch of the benchmark's mix (l1 (5, 3, 1) x 8, exp_ce1 (4, 3, 1) x 14,
@@ -204,16 +189,25 @@ def _run_trials(cfg: ExperimentConfig, indices) -> list:
         except Exception:   # certificate failures are counted, never silent
             return None
 
+    def stacked(step, items):
+        # step(items), or where that raises, step([item])[0] item by item,
+        # None where an item raises
+        done = guarded(step, items) if items else []
+        if done is None:
+            done = [(guarded(step, [item]) or [None])[0] for item in items]
+        return done
+
     def draw(block):
+        # (null space, search seed) per trial, None where the draw is rejected
         rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, int(idx)]))
                 for idx in block]
         subs = _trial_subspaces(cfg, rngs, fixed)
-        seeds = [int(rng.integers(2**32)) for rng in rngs]
-        drawn = [(j, sub, seed) for j, (sub, seed) in enumerate(zip(subs, seeds))
-                 if sub is not None]
-        if drawn:
-            _check_problem(drawn[0][1], cost, cfg.k)
-        return drawn
+        return [None if sub is None else (sub, int(rng.integers(2**32)))
+                for sub, rng in zip(subs, rngs)]
+
+    def scan_stack(drawn):
+        subs, seeds = zip(*drawn)
+        return _validated_scans(list(subs), cost, cfg.k, list(seeds))
 
     def decide(sub, scan):
         # one scan answers both questions, so the robust verdicts are
@@ -223,15 +217,9 @@ def _run_trials(cfg: ExperimentConfig, indices) -> list:
                     for d in cfg.d_grid]
         return True, verdict.member, verdict.margin, outcomes
 
-    drawn = guarded(draw, indices)
-    if drawn is None:
-        drawn = [(j, sub, seed) for j, idx in enumerate(indices)
-                 for _, sub, seed in guarded(draw, [idx]) or ()]
-    subs = [sub for _, sub, _ in drawn]
-    vertex = guarded(_stacked_vertex_scans, subs, cost.measure, cfg.k) or [None] * len(subs)
-    scanned = [(j, sub, guarded(_scan_subspace, sub, cost.measure, cfg.k, as_rng(seed), v))
-               for (j, sub, seed), v in zip(drawn, vertex)]
-    for j, sub, scan in scanned:
+    drawn = [(j, pair) for j, pair in enumerate(stacked(draw, indices)) if pair is not None]
+    scans = stacked(scan_stack, [pair for _, pair in drawn])
+    for (j, (sub, _)), scan in zip(drawn, scans):
         if scan is not None:
             out[j] = guarded(decide, sub, scan) or failed
     return out

@@ -281,8 +281,8 @@ class _Scan:
     """One scan of a subspace: all that the ``_*_from_scan`` deciders read.
 
     ``exact`` says the best candidate attains the supremum of q.
-    ``sound_radius`` is the certified radius, 0.0 when nothing is
-    certified; None until the first probe needs it (:func:`_sound_radius`).
+    ``sound_radius`` is the certified radius, set by the scan
+    (:func:`_scan_subspaces`), 0.0 when nothing is certified.
     ``search``, set beside the vertex enumeration of a subspace of dim >= 2
     (which it marks), runs the search once for the probe's attack beyond
     the certified radius.  ``band_search``
@@ -295,7 +295,7 @@ class _Scan:
     cands: list            # ranked _Candidate, best first
     evaluations: int
     exact: bool
-    sound_radius: float | None
+    sound_radius: float
     decision: Callable[[], tuple | None] | None = None
     search: Callable[[], tuple[list, int]] | None = None
     band_search: Callable[[], tuple[list, int]] | None = None
@@ -370,10 +370,12 @@ def _power_law(measure: SparsenessMeasure) -> bool:
     return measure.is_homogeneous and 0.0 <= measure.homogeneity_degree <= 1.0
 
 
-def _vertex_scan(basis: Array, measure: SparsenessMeasure, k: int) -> _Scan:
-    """Scan of the vertex lines under a power law (:func:`_power_law`): the
-    lines with the highest q = J(z_T) / J(z) (T the top-k support), best
-    first, and r(N).  The one-basis case of :func:`_vertex_scans`.
+def _vertex_scans(bases: Array, measure: SparsenessMeasure, k: int) -> list:
+    """Scan of the vertex lines of each basis of a (T, n, l) stack under a
+    power law (:func:`_power_law`): the lines with the highest
+    q = J(z_T) / J(z) (T the top-k support), best first, and r(N).  Each
+    basis is scanned as it is alone: its maxima are over its own lines, and
+    a stable sort along its row ranks them, the masked ones last.
 
     gamma = max ||z_T||_1 / ||z||_1 and kappa = max ||z||_2 / ||z||_1 are
     read off the lines as the SVD gives them.  With u = z + e,
@@ -393,13 +395,6 @@ def _vertex_scan(basis: Array, measure: SparsenessMeasure, k: int) -> _Scan:
     every k, and for ``lp`` at k = 1 and on a line (module docstring); for
     ``lp`` at k >= 2 it is a lower bound (``exact`` False).
     """
-    return _vertex_scans(basis[None], measure, k)[0]
-
-
-def _vertex_scans(bases: Array, measure: SparsenessMeasure, k: int) -> list:
-    """:func:`_vertex_scan` of each basis of a (T, n, l) stack, each as the
-    basis gives it alone: its maxima are over its own lines, and a stable
-    sort along its row ranks them, the masked ones last."""
     t, n, l = bases.shape
     p = measure.homogeneity_degree
     zero = TOL.membership / (2.0 * math.sqrt(n))
@@ -431,62 +426,44 @@ def _vertex_scans(bases: Array, measure: SparsenessMeasure, k: int) -> list:
     return scans
 
 
-def _vertex_ranking(sub, measure: SparsenessMeasure) -> SparsenessMeasure | None:
-    """The measure whose vertex lines rank the scan of ``sub``
-    (:func:`_scan_subspace`), or None when the subspace is searched."""
-    routed = _l1_routed(measure)
-    if not ((routed or _power_law(measure)) and _enumerable(sub)):
-        return None
-    return _L1 if routed else measure
-
-
-def _stacked_vertex_scans(subs, measure: SparsenessMeasure, k: int) -> list:
-    """Each subspace's ``vertex`` for :func:`_scan_subspace`, from one
-    stacked pass, or None for each when they are searched.  The subspaces
-    share n and l."""
-    ranking = _vertex_ranking(subs[0], measure) if subs else None
-    if ranking is None:
-        return [None] * len(subs)
-    return _vertex_scans(np.stack([sub.basis for sub in subs]), ranking, k)
-
-
-def _scan_subspace(sub, measure, k, rng, vertex=None) -> _Scan:
-    """Ranked (q, direction, scale) candidates over the subspace.
-
-    While the C(n, l-1) vertex lines are within the enumeration cap, a
-    power law takes the vertex scan (:func:`_vertex_scan`, or ``vertex``
-    when a stacked pass has made it), and so does, on l1's ranking, a
-    measure routed to l1 (:func:`_l1_routed`), whose own search waits in
-    ``band_search``.  Beside a vertex scan of a subspace of dim >= 2,
-    ``search`` runs the search once for the probe's attack (a line's one
-    direction is its vertex line).  Every other scan is the search
-    (:func:`_search_subspace`).
-    """
-    ranking = _vertex_ranking(sub, measure)
-    if ranking is None:
-        cands, evals = _search_subspace(sub, measure, k, rng)
-        return _Scan(cands, evals, sub.dim == 1 and measure.is_homogeneous, None)
-    scan = vertex if vertex is not None else _vertex_scan(sub.basis, ranking, k)
-    if sub.dim > 1:
-        scan.search = functools.cache(functools.partial(_search_subspace, sub, ranking, k, rng))
-    if ranking is not measure:   # routed to l1
-        scan.decision = functools.cache(functools.partial(_l1_decision, scan.cands, measure, k))
-        scan.band_search = functools.cache(functools.partial(_search_subspace, sub, measure, k, rng))
-    return scan
-
-
 def _enumerable(sub) -> bool:
     return math.comb(sub.ambient_dim, sub.dim - 1) <= SUPPORT_ENUMERATION_CAP
 
 
-def _sound_radius(sub, measure, k, scan) -> float:
-    """The scan's certified radius.  A vertex scan carries it; a search
-    scan takes it, once, from the l1 vertex scan of the subspace when the
-    measure is dominated by l1 and the lines are within the cap."""
-    if scan.sound_radius is None:
-        scan.sound_radius = (_vertex_scan(sub.basis, _L1, k).sound_radius
-                             if _dominated(measure) and _enumerable(sub) else 0.0)
-    return scan.sound_radius
+def _scan_subspaces(subs, measure: SparsenessMeasure, k: int, seeds) -> list:
+    """Ranked (q, direction, scale) candidates and the certified radius of
+    each subspace; the subspaces share n and l, and the i-th searches on
+    ``as_rng(seeds[i])``.
+
+    While the C(n, l-1) vertex lines are within the enumeration cap, a
+    power law takes the vertex scan, and so does, on l1's ranking, a
+    measure routed to l1 (:func:`_l1_routed`), whose own search waits in
+    ``band_search``; the lines of all the subspaces are scanned as one
+    stack (:func:`_vertex_scans`).  Beside a vertex scan of a subspace of
+    dim >= 2, ``search`` runs the search once for the probe's attack (a
+    line's one direction is its vertex line).  Every other scan is the
+    search (:func:`_search_subspace`), with the radius of the l1 vertex
+    scan when the measure is dominated by l1 and the lines are within the
+    cap, else none.
+    """
+    rngs = [as_rng(seed) for seed in seeds]
+    routed, enumerable = _l1_routed(measure), _enumerable(subs[0])
+    bases = np.stack([sub.basis for sub in subs])
+    if not ((routed or _power_law(measure)) and enumerable):
+        radii = ([scan.sound_radius for scan in _vertex_scans(bases, _L1, k)]
+                 if _dominated(measure) and enumerable else [0.0] * len(subs))
+        exact = subs[0].dim == 1 and measure.is_homogeneous
+        return [_Scan(*_search_subspace(sub, measure, k, rng), exact, radius)
+                for sub, rng, radius in zip(subs, rngs, radii)]
+    ranking = _L1 if routed else measure
+    scans = _vertex_scans(bases, ranking, k)
+    for sub, rng, scan in zip(subs, rngs, scans):
+        if sub.dim > 1:
+            scan.search = functools.cache(functools.partial(_search_subspace, sub, ranking, k, rng))
+        if routed:
+            scan.decision = functools.cache(functools.partial(_l1_decision, scan.cands, measure, k))
+            scan.band_search = functools.cache(functools.partial(_search_subspace, sub, measure, k, rng))
+    return scans
 
 
 _ANGLES = np.linspace(0.0, math.pi, DIRECTION_GRID, endpoint=False)
@@ -625,17 +602,7 @@ def nsp_check(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NspVe
     ``holds_strict`` by dominance, ``fails`` with a vertex line scaled until
     its F-deficit verifies; inside the band its own search decides.
     """
-    return _nsp_from_scan(cost, k, _validated_scan(sub, cost, k, seed))
-
-
-def _nsp_checks(subs, cost: CostFunction, k: int) -> list:
-    """:func:`nsp_check` of each subspace at seed 0, as it gives each
-    alone; the subspaces share n and l, so their vertex lines are scanned
-    as one stack."""
-    _check_problem(subs[0], cost, k)
-    vertex = _stacked_vertex_scans(subs, cost.measure, k)
-    return [_nsp_from_scan(cost, k, _scan_subspace(sub, cost.measure, k, as_rng(0), v))
-            for sub, v in zip(subs, vertex)]
+    return _nsp_from_scan(cost, k, _validated_scans([sub], cost, k, [seed])[0])
 
 
 def _nsp_from_scan(cost, k, scan) -> NspVerdict:
@@ -643,7 +610,8 @@ def _nsp_from_scan(cost, k, scan) -> NspVerdict:
         decided = scan.decision()
         if decided is None:
             cands, evals = scan.band_search()
-            return _nsp_from_scan(cost, k, _Scan(cands, scan.evaluations + evals, False, None))
+            band = _Scan(cands, scan.evaluations + evals, False, scan.sound_radius)
+            return _nsp_from_scan(cost, k, band)
         status, witness = decided
         return NspVerdict(status, 1.0 - 2.0 * scan.cands[0].q, witness,
                           _support_of(witness, cost.measure, k), scan.evaluations)
@@ -660,14 +628,15 @@ def _nsp_from_scan(cost, k, scan) -> NspVerdict:
     return NspVerdict(status, -deficit_norm, witness, support, scan.evaluations)
 
 
-def _validated_scan(sub, cost, k, seed) -> _Scan:
-    """Check the problem, then scan the subspace once.
+def _validated_scans(subs, cost, k, seeds) -> list:
+    """Check the problem once, as it reads only the cost, k and n, then
+    scan the subspaces, which share n and l (:func:`_scan_subspaces`).
 
-    The scan record is all the private ``_*_from_scan`` deciders read, so
+    A scan record is all the private ``_*_from_scan`` deciders read, so
     one scan can answer every question about a subspace.
     """
-    _check_problem(sub, cost, k)
-    return _scan_subspace(sub, cost.measure, k, as_rng(seed))
+    _check_problem(subs[0], cost, k)
+    return _scan_subspaces(subs, cost.measure, k, seeds)
 
 
 def _check_problem(sub, cost, k) -> None:
@@ -710,7 +679,7 @@ def nsc(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NscReport:
     the best found and is flagged as a lower bound.  A ratio with vanishing
     denominator (z supported inside T) is reported as +inf.
     """
-    return _nsc_from_scan(sub, cost, k, _validated_scan(sub, cost, k, seed))
+    return _nsc_from_scan(sub, cost, k, _validated_scans([sub], cost, k, [seed])[0])
 
 
 def _theta(q: float) -> float:
@@ -752,7 +721,7 @@ def erc_member(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> ErcV
     to l1 takes, off the band, l1's verdict and theta with the margin
     1 - 2 gamma (``l1_dominance``).
     """
-    return _erc_from_scan(sub, cost, k, _validated_scan(sub, cost, k, seed))
+    return _erc_from_scan(sub, cost, k, _validated_scans([sub], cost, k, [seed])[0])
 
 
 def _erc_from_scan(sub, cost, k, scan) -> ErcVerdict:
@@ -942,21 +911,20 @@ def rrc_probe(
         raise ValueError(f"need finite d > 0, got {d}")
     if budget < 1:
         raise ValueError(f"need budget >= 1, got {budget}")
-    return _rrc_from_scan(sub, cost, k, d, budget, _validated_scan(sub, cost, k, seed))
+    return _rrc_from_scan(sub, cost, k, d, budget, _validated_scans([sub], cost, k, [seed])[0])
 
 
 def _rrc_from_scan(sub, cost, k, d, budget, scan) -> RobustnessProbe:
     measure = cost.measure
     shrink = 1.0 - TOL.strict_shrink
     cands, evals, spent = scan.cands, scan.evaluations, 0   # spent: the attack's, capped by budget
-    sound_radius = _sound_radius(sub, measure, k, scan)
 
-    if d <= sound_radius * shrink:
-        return RobustnessProbe(d, "passed_sound", None, budget, evals, sound_radius)
+    if d <= scan.sound_radius * shrink:
+        return RobustnessProbe(d, "passed_sound", None, budget, evals, scan.sound_radius)
 
     def outcome(name, violation=None):
         return RobustnessProbe(d, name, violation, budget, evals + spent,
-                               certified_radius=sound_radius)
+                               certified_radius=scan.sound_radius)
 
     attack, search = measure, scan.search
     if scan.band_search is not None:

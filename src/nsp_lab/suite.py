@@ -16,9 +16,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .experiments import ExperimentConfig, mc_probability, verify_counterexample1
+from .experiments import _TRIAL_BLOCK, ExperimentConfig, mc_probability, verify_counterexample1
 from .measures import CostFunction, builtin_measure
-from .nsp import _nsp_checks, ce1_membership, nsc, nsp_check, region_boundary_map, robustness_constant, rrc_probe
+from .nsp import _nsp_from_scan, _validated_scans, ce1_membership, nsc, nsp_check, region_boundary_map, robustness_constant, rrc_probe
 from .solver import adversarial_pair, empirical_robustness
 from .subspaces import Subspace, _haar_bases, gaussian_measurement, null_space, perturb_subspace, sample_haar, grassmann_distance
 from .width import chi_mean, delta_positivity_threshold, omega_hat_bound, width_extended, width_mc, zeta
@@ -272,11 +272,12 @@ def criterion_escape_consistency(seed, overrides):
     rng = np.random.default_rng(seed + 1)
     holds = 0
     samples = 10_000
-    # the sample_haar draws of one generator in stacks of 512, each checked
-    # as nsp_check checks it alone
-    for lo in range(0, samples, 512):
-        subs = [Subspace(b) for b in _haar_bases(n, n - m, min(512, samples - lo), rng)]
-        holds += sum(v.status == "holds_strict" for v in _nsp_checks(subs, cost, k))
+    # the sample_haar draws of one generator in stacks of _TRIAL_BLOCK, each
+    # checked as nsp_check checks it alone
+    for lo in range(0, samples, _TRIAL_BLOCK):
+        subs = [Subspace(b) for b in _haar_bases(n, n - m, min(_TRIAL_BLOCK, samples - lo), rng)]
+        scans = _validated_scans(subs, cost, k, [0] * len(subs))
+        holds += sum(_nsp_from_scan(cost, k, s).status == "holds_strict" for s in scans)
     fraction = holds / samples
     return fraction >= bound.bound, {
         "fraction_avoiding": fraction,

@@ -203,7 +203,7 @@ class TestExitCodes:
         def fails(*args):
             raise ValueError("scan failed")
 
-        monkeypatch.setattr(experiments, "_scan_subspace", fails)
+        monkeypatch.setattr(experiments, "_validated_scans", fails)
         assert main(["mc", "--n", "4", "--m", "2", "--k", "1", "--trials", "3"]) == 1
         out = capsys.readouterr()
         assert "all 3 trials failed" in out.err

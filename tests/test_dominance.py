@@ -186,7 +186,7 @@ class TestProbeBudget:
         measure = dataclasses.replace(ROUTED[1], ratio_nonincreasing=None)
         sub = null_space(gaussian_measurement(3, 5, 10))
         cost = CostFunction(measure, 5)
-        scan = nsp._validated_scan(sub, cost, 1, 0)
+        scan = nsp._validated_scans([sub], cost, 1, [0])[0]
         assert scan.evaluations == 230_580
         probe = nsp._rrc_from_scan(sub, cost, 1, 0.2, 20_000, scan)
         assert probe.outcome == "passed_at_resolution"

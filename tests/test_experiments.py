@@ -143,13 +143,13 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("d_grid", [(1e-3,), (1e-3, 1e-2, 1e-1)])
     def test_one_scan_per_trial(self, monkeypatch, d_grid):
         scanned = []
-        scan = experiments._scan_subspace
+        scans = experiments._validated_scans
 
-        def counted(sub, *args):
-            scanned.append(sub)
-            return scan(sub, *args)
+        def counted(subs, *args):
+            scanned.extend(subs)
+            return scans(subs, *args)
 
-        monkeypatch.setattr(experiments, "_scan_subspace", counted)
+        monkeypatch.setattr(experiments, "_validated_scans", counted)
         mc_probability(ExperimentConfig(n=5, m=3, k=1, trials=4, d_grid=d_grid, seed=2))
         assert len(scanned) == 4
 
@@ -157,15 +157,15 @@ class TestMonteCarlo:
     def failing_scan(monkeypatch, cfg, trial, error):
         """Make the scan of one trial's subspace raise ``error``."""
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial]))
-        bad = experiments._trial_subspace(cfg, rng, None).basis
-        scan = experiments._scan_subspace
+        bad = experiments._trial_subspaces(cfg, [rng], None)[0].basis
+        scans = experiments._validated_scans
 
-        def fails_on_one(sub, *args):
-            if np.array_equal(sub.basis, bad):
+        def fails_on_one(subs, *args):
+            if any(np.array_equal(sub.basis, bad) for sub in subs):
                 raise error("scan failed")
-            return scan(sub, *args)
+            return scans(subs, *args)
 
-        monkeypatch.setattr(experiments, "_scan_subspace", fails_on_one)
+        monkeypatch.setattr(experiments, "_validated_scans", fails_on_one)
 
     @pytest.mark.parametrize("error", [TypeError, AttributeError, AssertionError, ValueError])
     def test_programming_errors_propagate(self, monkeypatch, error):
@@ -195,7 +195,7 @@ class TestMonteCarlo:
         def fails(*args):
             raise ValueError("scan failed")
 
-        monkeypatch.setattr(experiments, "_scan_subspace", fails)
+        monkeypatch.setattr(experiments, "_validated_scans", fails)
         cfg = ExperimentConfig(n=5, m=3, k=1, trials=3, d_grid=(1e-3, 1e-2), seed=2)
         summary = mc_probability(cfg)
         assert (summary.trials, summary.failures) == (0, 3)
@@ -252,7 +252,7 @@ class TestMonteCarlo:
         indices = list(range(cfg.trials))
         rows = experiments._run_trials(cfg, indices)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 3]))
-        bad = experiments._trial_subspace(cfg, rng, None).basis
+        bad = experiments._trial_subspaces(cfg, [rng], None)[0].basis
         sample_haar = experiments.sample_haar
 
         def raises_on_one(*args):

@@ -20,6 +20,7 @@ from nsp_lab.nsp import (
 )
 from nsp_lab.subspaces import (
     Subspace,
+    as_rng,
     gaussian_measurement,
     null_space,
     perturb_subspace,
@@ -518,6 +519,12 @@ def search_scan(sub, measure, k, rng):
     return nsp._Scan(cands, evals, sub.dim == 1 and measure.is_homogeneous, 0.0)
 
 
+def each(scan):
+    """``scan`` of one subspace as a stand-in for :func:`nsp._scan_subspaces`."""
+    return lambda subs, measure, k, seeds: [scan(sub, measure, k, as_rng(seed))
+                                            for sub, seed in zip(subs, seeds)]
+
+
 def serial_scan(sub, measure, k, rng=None):
     """:func:`search_scan` with the peaks refined one at a time."""
     cands, evals = serial_search(sub, measure, k)
@@ -664,9 +671,9 @@ class TestBatchedSearch:
             sub = sample_haar(n, dim, rng)
             for d in (1e-3, 0.1):
                 cases.append((sub, cost(measure, n), d))
-        monkeypatch.setattr(nsp, "_scan_subspace", search_scan)
+        monkeypatch.setattr(nsp, "_scan_subspaces", each(search_scan))
         batched = [rrc_probe(sub, c, 1, d, budget=20_000) for sub, c, d in cases]
-        monkeypatch.setattr(nsp, "_scan_subspace", serial_scan)
+        monkeypatch.setattr(nsp, "_scan_subspaces", each(serial_scan))
         monkeypatch.setattr(nsp, "_attack_quick", serial_quick)
         monkeypatch.setattr(nsp, "_attack_ascend", serial_ascend)
         for got, (sub, c, d) in zip(batched, cases):

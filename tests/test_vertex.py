@@ -27,6 +27,7 @@ from nsp_lab.subspaces import (
     null_space,
     sample_haar,
 )
+from test_dominance import SQRT_PLUS
 
 L1 = builtin_measure("l1")
 DOMINATED = (builtin_measure("lp", p=0.5), builtin_measure("exp_ce1"),
@@ -87,7 +88,7 @@ def forced_attack(sub, measure, k, d, seed=0):
     """The probe with its certified radius set aside: the quick starts and
     the ascent run at every radius."""
     cost = CostFunction(measure, sub.ambient_dim)
-    scan = nsp._validated_scan(sub, cost, k, seed)
+    scan = nsp._validated_scans([sub], cost, k, [seed])[0]
     scan.sound_radius = 0.0
     return nsp._rrc_from_scan(sub, cost, k, d, 20_000, scan)
 
@@ -143,7 +144,7 @@ class TestExactTheta:
                 assert ratios.max() == pytest.approx(kappa, rel=1e-4)
             gamma = nsc(sub, CostFunction(L1, n), 1).theta
             gamma = gamma / (1.0 + gamma)
-            radius = nsp._vertex_scan(sub.basis, L1, 1).sound_radius
+            radius = nsp._vertex_scans(sub.basis[None], L1, 1)[0].sound_radius
             assert radius == pytest.approx(max(1.0 - 2.0 * gamma, 0.0) / (math.sqrt(n) * kappa),
                                            rel=1e-12)
 
@@ -174,7 +175,7 @@ class TestCertifiedRadius:
         for trial in range(30):
             n, dim = ((5, 2), (4, 1), (6, 2), (6, 3))[trial % 4]
             sub = sample_haar(n, dim, rng)
-            radius = nsp._vertex_scan(sub.basis, L1, 1).sound_radius
+            radius = nsp._vertex_scans(sub.basis[None], L1, 1)[0].sound_radius
             if radius == 0.0:
                 continue
             certified += 1
@@ -192,7 +193,7 @@ class TestCertifiedRadius:
         for trial in range(40):
             n, dim = ((5, 2), (6, 2), (6, 3))[trial % 3]
             sub = sample_haar(n, dim, rng)
-            radius = nsp._vertex_scan(sub.basis, L1, 1).sound_radius
+            radius = nsp._vertex_scans(sub.basis[None], L1, 1)[0].sound_radius
             if radius > 0.0:
                 cases += [(sub, d, trial) for d in (2.0 * radius, 0.2) if d > radius]
         got = [rrc_probe(sub, CostFunction(L1, sub.ambient_dim), 1, d, seed=s)
@@ -208,10 +209,10 @@ class TestCertifiedRadius:
                 assert np.array_equal(probe.violation.n_vec, ref.violation.n_vec)
         assert outcomes == {"violated", "passed_at_resolution"}
 
-    def test_only_declared_measures_pass_soundly(self):
+    def test_only_declared_measures_pass_soundly(self, monkeypatch):
         sub = Subspace.from_generator(np.array([1.0, 1.0, 1.0]))
         double = SparsenessMeasure("double_l1", lambda t: 2.0 * t, homogeneity_degree=1.0)
-        for measure in (L1, double) + DOMINATED:
+        for measure in (L1, double, SQRT_PLUS) + DOMINATED:
             probe = rrc_probe(sub, CostFunction(measure, 3), 1, 0.1)
             assert probe.outcome == "passed_sound", measure.name
             assert probe.certified_radius == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -226,6 +227,16 @@ class TestCertifiedRadius:
                                   budget=2_000)
                 assert probe.outcome != "passed_sound", measure.name
                 assert probe.certified_radius == 0.0
+        # a searched dominated measure takes the l1 radius within the cap
+        haar, cost = sample_haar(6, 3, 1), CostFunction(SQRT_PLUS, 6)
+        probe = rrc_probe(haar, cost, 1, 0.0256)
+        assert probe.outcome == "passed_sound"
+        assert probe.certified_radius == nsp._vertex_scans(haar.basis[None], L1, 1)[0].sound_radius
+        assert probe.certified_radius == pytest.approx(0.05118, abs=1e-5)
+        # C(6, 2) = 15 vertex lines above the cap, C(6, 1) = 6 supports below it
+        monkeypatch.setattr(nsp, "SUPPORT_ENUMERATION_CAP", 10)
+        probe = rrc_probe(haar, cost, 1, 0.0256)
+        assert (probe.outcome, probe.certified_radius) == ("passed_at_resolution", 0.0)
 
 
 class TestPowerLaws:
@@ -278,7 +289,7 @@ class TestPowerLaws:
             np.put_along_axis(zeroed, np.argsort(np.abs(lines), axis=1)[:, :dim - 1], 0.0, axis=1)
             assert not np.array_equal(lines, zeroed)
             q = [float(f.max() / f.sum()) for f in p01.fn(np.abs(zeroed))]
-            scan = nsp._scan_subspace(sub, p01, 1, None)
+            scan = nsp._scan_subspaces([sub], p01, 1, [None])[0]
             assert [c.q for c in scan.cands] == sorted(q, reverse=True)[:nsp.REFINE_PEAKS]
 
     def test_a_degenerate_vertex_keeps_all_its_zeros(self):
@@ -294,6 +305,12 @@ class TestPowerLaws:
             assert not report.is_lower_bound
             assert report.theta == pytest.approx(theta, rel=1e-14)
             assert sub.contains(report.witness_z)
+
+
+def fields(verdict):
+    """A verdict's fields, arrays as their bytes, to compare bit for bit."""
+    return [v.tobytes() if isinstance(v, np.ndarray)
+            else fields(v) if dataclasses.is_dataclass(v) else v for v in vars(verdict).values()]
 
 
 def reference_scan(basis, measure, k):
@@ -342,12 +359,37 @@ class TestStackedScan:
         assert len(scans) == len(bases)
         for basis, scan in zip(bases, scans):
             q, lines, evals, radius = reference_scan(basis, measure, k)
-            alone = nsp._vertex_scan(basis, measure, k)
+            alone = nsp._vertex_scans(basis[None], measure, k)[0]
             for got in (scan, alone):
                 assert [c.q for c in got.cands] == q.tolist()
                 assert all(np.array_equal(c.direction, z) for c, z in zip(got.cands, lines))
                 assert (got.evaluations, got.sound_radius) == (evals, radius)
                 assert got.exact == alone.exact
+
+    @pytest.mark.parametrize("measure", MEASURES + (builtin_measure("exp_ce1"), SQRT_PLUS),
+                             ids=lambda m: m.spec_string())
+    def test_verdicts_match_single_calls(self, measure):
+        # a stack of same-shape subspaces, as escape_consistency and mc scan
+        # them, decides each subspace bit for bit as the public call on it
+        rng = np.random.default_rng(95)
+        subs = [sample_haar(6, 3, rng) for _ in range(4)]
+        seeds = [11, 12, 13, 14]
+        cost = CostFunction(measure, 6)
+        scans = nsp._validated_scans(subs, cost, 1, seeds)
+        outcomes = set()
+        for sub, seed, scan in zip(subs, seeds, scans):
+            assert fields(nsp._nsp_from_scan(cost, 1, scan)) == fields(nsp_check(sub, cost, 1, seed))
+            assert fields(nsp._nsc_from_scan(sub, cost, 1, scan)) == fields(nsc(sub, cost, 1, seed))
+            assert (fields(nsp._erc_from_scan(sub, cost, 1, scan))
+                    == fields(nsp.erc_member(sub, cost, 1, seed)))
+            radius = scan.sound_radius
+            for d in ((0.5 * radius, 2.0 * radius) if radius > 0.0 else ()) + (0.2,):
+                probe = nsp._rrc_from_scan(sub, cost, 1, d, 2_000, scan)
+                assert fields(probe) == fields(rrc_probe(sub, cost, 1, d, budget=2_000, seed=seed))
+                outcomes.add(probe.outcome)
+        # below the radius where one is certified (l0 certifies none), and beyond it
+        assert ("passed_sound" in outcomes) == nsp._dominated(measure)
+        assert outcomes - {"passed_sound"}
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("n,dim", [(4, 1), (5, 2), (7, 2), (6, 3), (8, 4), (9, 3),
