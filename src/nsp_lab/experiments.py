@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import TOL
 from .measures import CostFunction, builtin_measure, parse_measure
-from .nsp import Violation, _erc_from_scan, _golden_max, _rrc_from_scan, _validated_scans
+from .nsp import (Violation, _check_support_budget, _erc_from_scan, _golden_max, _rrc_from_scan,
+                  _validated_scans)
 # unused here; nspbench/tracer.py intercepts these three names on this module
 from .nsp import erc_member, rrc_probe  # noqa: F401
 from .subspaces import gaussian_measurement  # noqa: F401
@@ -65,6 +66,7 @@ class ExperimentConfig:
             raise ValueError(f"need 0 < m < n, got m={self.m}, n={self.n}")
         if not (0 <= self.k < self.n):
             raise ValueError(f"need 0 <= k < n, got k={self.k}")
+        _check_support_budget(self.n, self.k)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not all(0 < d < math.inf for d in self.d_grid):
@@ -178,6 +180,9 @@ def _run_trials(cfg: ExperimentConfig, indices) -> list:
     fixed = None
     if cfg.matrix_source == "file":
         fixed = MeasurementMatrix(read_matrix_csv(cfg.matrix_file))
+        if fixed.shape != (cfg.m, cfg.n):
+            raise ValueError(f"matrix file {cfg.matrix_file} is {fixed.shape[0]}x{fixed.shape[1]}, "
+                             f"not m x n = {cfg.m}x{cfg.n}")
     failed = (False, False, math.nan, ["violated"] * len(cfg.d_grid))
     out = [failed] * len(indices)
 
@@ -212,7 +217,7 @@ def _run_trials(cfg: ExperimentConfig, indices) -> list:
     def decide(sub, scan):
         # one scan answers both questions, so the robust verdicts are
         # drawn from the same candidates as the exact-recovery verdict
-        verdict = _erc_from_scan(sub, cost, cfg.k, scan)
+        verdict = _erc_from_scan(cost, cfg.k, scan)
         outcomes = [_rrc_from_scan(sub, cost, cfg.k, d, cfg.probe_budget, scan).outcome
                     for d in cfg.d_grid]
         return True, verdict.member, verdict.margin, outcomes

@@ -263,8 +263,7 @@ def _refine_scale(z_rows: Array, measure, k) -> list:
 
         def fun(lts):
             amp = np.array([10.0**lt for lt in lts])
-            top, tot = _topk_total(measure.fn(amp[:, None] * abs_rows), k, axis=1)
-            return [p / s if s > 0 else 0.0 for p, s in zip(top.tolist(), tot.tolist())]
+            return _q_columns(amp[:, None] * abs_rows, measure, k, np.ones(1), axis=1)[0].tolist()
 
         for i, (lt, qb) in enumerate(zip(*_golden_max(fun, lo, hi, REFINE_ITERS))):
             if qb >= qs[i]:
@@ -278,27 +277,26 @@ def _ranked(cands: list) -> list:
 
 @dataclass
 class _Scan:
-    """One scan of a subspace: all that the ``_*_from_scan`` deciders read.
+    """One scan of a subspace, set where it is built (:func:`_scan_subspaces`):
+    all that the ``_*_from_scan`` deciders read.
 
-    ``exact`` says the best candidate attains the supremum of q.
-    ``sound_radius`` is the certified radius, set by the scan
-    (:func:`_scan_subspaces`), 0.0 when nothing is certified.
-    ``search``, set beside the vertex enumeration of a subspace of dim >= 2
-    (which it marks), runs the search once for the probe's attack beyond
-    the certified radius.  ``band_search``
-    marks the l1 scan of a measure routed to l1 (:func:`_l1_routed`): it
-    runs the measure's own search once, which decides inside the band
-    around 2 gamma = 1.  ``decision``, set beside it, decides the scan
-    off the band once (:func:`_l1_decision`).
+    ``exact`` says the best candidate attains the supremum of q;
+    ``sound_radius`` is the certified radius, 0.0 when none is certified;
+    ``method`` is the :class:`NscReport` method.  ``decision`` is the
+    verdict off the band of a measure routed to l1 (:func:`_l1_decision`),
+    else None.  ``search`` runs the one search a decider may need, once:
+    inside the band the routed measure's own, which decides there; else,
+    beside a vertex scan of dim >= 2, the ranking measure's, whose
+    candidates start the probe's attack beyond the certified radius.
     """
 
     cands: list            # ranked _Candidate, best first
     evaluations: int
     exact: bool
     sound_radius: float
-    decision: Callable[[], tuple | None] | None = None
+    method: str
+    decision: tuple | None = None
     search: Callable[[], tuple[list, int]] | None = None
-    band_search: Callable[[], tuple[list, int]] | None = None
 
 
 def _dominated(measure: SparsenessMeasure) -> bool:
@@ -417,12 +415,13 @@ def _vertex_scans(bases: Array, measure: SparsenessMeasure, k: int) -> list:
         qs, lines = np.take_along_axis(qs, keep, 1), np.take_along_axis(lines, keep[..., None], 1)
     certified = p == 1.0 or _dominated(measure)
     exact = p in (0.0, 1.0) or k <= 1 or l == 1
+    method = "exact_1d" if l == 1 else "vertex_enum"
     scans = []
     for q, z, g, kap, count in zip(qs, lines, gamma.tolist(), kappa.tolist(), scored.tolist()):
         radius = max(1.0 - 2.0 * g, 0.0) / (math.sqrt(n) * kap) if certified else 0.0
         live = q > -np.inf
         cands = [_Candidate(float(v), d, 1.0) for v, d in zip(q[live], z[live])]
-        scans.append(_Scan(cands, count * n, exact, radius))
+        scans.append(_Scan(cands, count * n, exact, radius, method))
     return scans
 
 
@@ -431,38 +430,40 @@ def _enumerable(sub) -> bool:
 
 
 def _scan_subspaces(subs, measure: SparsenessMeasure, k: int, seeds) -> list:
-    """Ranked (q, direction, scale) candidates and the certified radius of
-    each subspace; the subspaces share n and l, and the i-th searches on
-    ``as_rng(seeds[i])``.
+    """The scan of each subspace (:class:`_Scan`); the subspaces share n
+    and l, and the i-th searches with ``seeds[i]``.
 
     While the C(n, l-1) vertex lines are within the enumeration cap, a
     power law takes the vertex scan, and so does, on l1's ranking, a
-    measure routed to l1 (:func:`_l1_routed`), whose own search waits in
-    ``band_search``; the lines of all the subspaces are scanned as one
-    stack (:func:`_vertex_scans`).  Beside a vertex scan of a subspace of
-    dim >= 2, ``search`` runs the search once for the probe's attack (a
-    line's one direction is its vertex line).  Every other scan is the
-    search (:func:`_search_subspace`), with the radius of the l1 vertex
-    scan when the measure is dominated by l1 and the lines are within the
-    cap, else none.
+    measure routed to l1 (:func:`_l1_routed`), whose decision off the band
+    is taken here; the lines of all the subspaces are scanned as one stack
+    (:func:`_vertex_scans`).  Every other scan is the search
+    (:func:`_search_subspace`), with the radius of the l1 vertex scan when
+    the measure is dominated by l1 and the lines are within the cap, else
+    none.  A vertex scan of dim >= 2, or a routed one inside the band,
+    leaves its one search in ``search``.  No generator is built here:
+    :func:`_search_subspace` builds its own, and only in dim >= 3.
     """
-    rngs = [as_rng(seed) for seed in seeds]
     routed, enumerable = _l1_routed(measure), _enumerable(subs[0])
     bases = np.stack([sub.basis for sub in subs])
+    l = subs[0].dim
     if not ((routed or _power_law(measure)) and enumerable):
         radii = ([scan.sound_radius for scan in _vertex_scans(bases, _L1, k)]
                  if _dominated(measure) and enumerable else [0.0] * len(subs))
-        exact = subs[0].dim == 1 and measure.is_homogeneous
-        return [_Scan(*_search_subspace(sub, measure, k, rng), exact, radius)
-                for sub, rng, radius in zip(subs, rngs, radii)]
+        exact = l == 1 and measure.is_homogeneous
+        method = "exact_1d" if l == 1 else "sphere_enum" if l == 2 else "multistart"
+        return [_Scan(*_search_subspace(sub, measure, k, seed), exact, radius, method)
+                for sub, seed, radius in zip(subs, seeds, radii)]
     ranking = _L1 if routed else measure
     scans = _vertex_scans(bases, ranking, k)
-    for sub, rng, scan in zip(subs, rngs, scans):
-        if sub.dim > 1:
-            scan.search = functools.cache(functools.partial(_search_subspace, sub, ranking, k, rng))
+    for sub, seed, scan in zip(subs, seeds, scans):
+        searched = ranking if l > 1 else None
         if routed:
-            scan.decision = functools.cache(functools.partial(_l1_decision, scan.cands, measure, k))
-            scan.band_search = functools.cache(functools.partial(_search_subspace, sub, measure, k, rng))
+            scan.method, scan.decision = "l1_dominance", _l1_decision(scan.cands, measure, k)
+            if scan.decision is None:
+                searched = measure
+        if searched is not None:
+            scan.search = functools.cache(functools.partial(_search_subspace, sub, searched, k, seed))
     return scans
 
 
@@ -470,7 +471,7 @@ _ANGLES = np.linspace(0.0, math.pi, DIRECTION_GRID, endpoint=False)
 _ANGLE_DIRECTIONS = np.vstack([np.cos(_ANGLES), np.sin(_ANGLES)])
 
 
-def _search_subspace(sub, measure, k, rng) -> tuple[list, int]:
+def _search_subspace(sub, measure, k, seed) -> tuple[list, int]:
     """Ranked candidates and evaluations of the search over one subspace.
 
     In dim 1 the candidate is the generator.  In dim 2 a half-circle angle
@@ -479,7 +480,7 @@ def _search_subspace(sub, measure, k, rng) -> tuple[list, int]:
     the refined directions' scales in one more; each bracket and each row
     is evaluated on its own, so refining them together changes no value.
     In dim >= 3, random unit directions with hill climbing from the best
-    starts, on ``rng``.
+    starts, on ``as_rng(seed)``, the one generator a search builds.
     """
     n, l = sub.basis.shape
     scales = _scale_grid(measure)
@@ -514,6 +515,7 @@ def _search_subspace(sub, measure, k, rng) -> tuple[list, int]:
         return _ranked(cands), scales.size * (n * grid + len(peaks) * REFINE_ITERS)
 
     # dim >= 3: sampled directions plus hill climbing
+    rng = as_rng(seed)
     w = rng.standard_normal((l, DIRECTION_GRID))
     w /= np.linalg.norm(w, axis=0)
     z_cols = sub.basis @ w
@@ -606,16 +608,15 @@ def nsp_check(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NspVe
 
 
 def _nsp_from_scan(cost, k, scan) -> NspVerdict:
-    if scan.band_search is not None:
-        decided = scan.decision()
-        if decided is None:
-            cands, evals = scan.band_search()
-            band = _Scan(cands, scan.evaluations + evals, False, scan.sound_radius)
-            return _nsp_from_scan(cost, k, band)
-        status, witness = decided
+    if scan.decision is not None:
+        status, witness = scan.decision
         return NspVerdict(status, 1.0 - 2.0 * scan.cands[0].q, witness,
                           _support_of(witness, cost.measure, k), scan.evaluations)
-    best = scan.cands[0]
+    best, evals = scan.cands[0], scan.evaluations
+    if scan.method == "l1_dominance":
+        # inside the band the measure's own search decides
+        cands, ev = scan.search()
+        best, evals = cands[0], evals + ev
     deficit_norm = 2.0 * best.q - 1.0
     witness = best.scale * best.direction
     support = _support_of(witness, cost.measure, k)
@@ -625,7 +626,7 @@ def _nsp_from_scan(cost, k, scan) -> NspVerdict:
         status = "holds_strict"
     else:
         status = "boundary"
-    return NspVerdict(status, -deficit_norm, witness, support, scan.evaluations)
+    return NspVerdict(status, -deficit_norm, witness, support, evals)
 
 
 def _validated_scans(subs, cost, k, seeds) -> list:
@@ -659,10 +660,6 @@ class NscReport:
     evaluations: int
     is_lower_bound: bool
 
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.theta)
-
 
 def nsc(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NscReport:
     """Null space constant: sup over z of the maximal J(z_T)/J(z_{T^c}).
@@ -679,27 +676,19 @@ def nsc(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> NscReport:
     the best found and is flagged as a lower bound.  A ratio with vanishing
     denominator (z supported inside T) is reported as +inf.
     """
-    return _nsc_from_scan(sub, cost, k, _validated_scans([sub], cost, k, [seed])[0])
+    return _nsc_from_scan(cost, k, _validated_scans([sub], cost, k, [seed])[0])
 
 
 def _theta(q: float) -> float:
     return q / (1.0 - q) if q < 1.0 else math.inf
 
 
-def _nsc_from_scan(sub, cost, k, scan) -> NscReport:
+def _nsc_from_scan(cost, k, scan) -> NscReport:
     best = scan.cands[0]
     witness = best.scale * best.direction
     support = _support_of(witness, cost.measure, k)
-    l = sub.dim
-    if scan.band_search is not None:
-        method = "l1_dominance"
-    elif l == 1:
-        method = "exact_1d"
-    elif scan.search is not None:
-        method = "vertex_enum"
-    else:
-        method = "sphere_enum" if l == 2 else "multistart"
-    return NscReport(_theta(best.q), witness, support, method, scan.evaluations, not scan.exact)
+    return NscReport(_theta(best.q), witness, support, scan.method, scan.evaluations,
+                     not scan.exact)
 
 
 @dataclass
@@ -721,25 +710,25 @@ def erc_member(sub: Subspace, cost: CostFunction, k: int, seed: int = 0) -> ErcV
     to l1 takes, off the band, l1's verdict and theta with the margin
     1 - 2 gamma (``l1_dominance``).
     """
-    return _erc_from_scan(sub, cost, k, _validated_scans([sub], cost, k, [seed])[0])
+    return _erc_from_scan(cost, k, _validated_scans([sub], cost, k, [seed])[0])
 
 
-def _erc_from_scan(sub, cost, k, scan) -> ErcVerdict:
+def _erc_from_scan(cost, k, scan) -> ErcVerdict:
     if cost.measure.is_homogeneous:
-        report = _nsc_from_scan(sub, cost, k, scan)
-        margin = -math.inf if not report.finite else 1.0 - report.theta
+        theta = _theta(scan.cands[0].q)
+        margin = 1.0 - theta   # -inf at theta = inf
         return ErcVerdict(
-            member=report.theta < 1.0,
+            member=theta < 1.0,
             margin=margin,
-            boundary=abs(margin) < TOL.mc_boundary_band if report.finite else False,
-            theta=report.theta,
-            method=report.method,
+            boundary=abs(margin) < TOL.mc_boundary_band,
+            theta=theta,
+            method=scan.method,
         )
     verdict = _nsp_from_scan(cost, k, scan)
     theta, method = None, "deficit_search"
-    if scan.band_search is not None and scan.decision() is not None:
+    if scan.decision is not None:
         # decided off the band by the l1 scan alone
-        theta, method = _theta(scan.cands[0].q), "l1_dominance"
+        theta, method = _theta(scan.cands[0].q), scan.method
     return ErcVerdict(
         member=verdict.holds,
         margin=verdict.margin,
@@ -927,14 +916,13 @@ def _rrc_from_scan(sub, cost, k, d, budget, scan) -> RobustnessProbe:
                                certified_radius=scan.sound_radius)
 
     attack, search = measure, scan.search
-    if scan.band_search is not None:
-        if scan.decision() is None:
-            # inside the band the measure's own search and attack decide
-            cands, ev = scan.band_search()
-            evals += ev
-            search = None
-        else:
-            attack = _L1
+    if scan.decision is not None:
+        attack = _L1
+    elif scan.method == "l1_dominance":
+        # inside the band the measure's own search and attack decide
+        cands, ev = scan.search()
+        evals += ev
+        search = None
 
     def make_violation(z, n_vec):
         if attack is not measure:

@@ -209,6 +209,22 @@ class TestExitCodes:
         assert "all 3 trials failed" in out.err
         assert out.out == ""
 
+    @pytest.mark.parametrize("args, reason", [
+        (["--n", "24", "--m", "12", "--k", "8"], "enumeration cap"),
+        (["--n", "6", "--m", "3", "--k", "1", "--source", "file"], "is 3x5, not m x n = 3x6"),
+        (["--n", "5", "--m", "2", "--k", "1", "--source", "file"], "is 3x5, not m x n = 2x5"),
+    ])
+    def test_mc_rejects_a_bad_problem_before_any_trial(self, tmp_path, capsys, args, reason):
+        # past the support cap, or with a file matrix of another shape than
+        # m x n, no trial runs: the run exits 2 with the reason, not 1
+        # with every trial failed, nor 0 with a config hash for the wrong m
+        path = tmp_path / "P.csv"
+        write_matrix_csv(path, np.array([[1, 2, -3, 2, 0], [0, 1, -1, 3, -3],
+                                         [-2, -1, 0, -1, -3]], dtype=float))
+        assert main(["mc", *args, "--trials", "3", "--matrix", str(path)]) == 2
+        out = capsys.readouterr()
+        assert reason in out.err and out.out == ""
+
     def test_non_finite_matrix_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "A.csv"
         path.write_text("# 2 3\n1,0,inf\n0,1,1\n")

@@ -17,7 +17,7 @@ from nsp_lab.config import TOL
 from nsp_lab.experiments import ExperimentConfig, mc_probability
 from nsp_lab.measures import CostFunction, SparsenessMeasure, builtin_measure
 from nsp_lab.nsp import erc_member, nsc, nsp_check, rrc_probe
-from nsp_lab.subspaces import Subspace, gaussian_measurement, null_space
+from nsp_lab.subspaces import MeasurementMatrix, Subspace, gaussian_measurement, null_space
 from nsp_lab.width import width_extended, width_mc
 
 L1 = builtin_measure("l1")
@@ -146,6 +146,30 @@ class TestOneDecisionPerScan:
         mc_probability(ExperimentConfig(n, m, 1, measure=spec, trials=200,
                                         d_grid=(1e-3, 0.05, 0.2)))
         assert len(calls) == 200
+
+    def test_one_search_per_in_band_scan(self, monkeypatch):
+        # the l1 theta of this null space is 1.0000000000000004, inside the
+        # band: the check, ERC and the probe at three radii share one
+        # search of the scan, on the measure itself, not on l1
+        a = MeasurementMatrix(np.array([[1, 2, -3, 2, 0], [0, 1, -1, 3, -3],
+                                        [-2, -1, 0, -1, -3]], dtype=float))
+        sub, cost = null_space(a), CostFunction(ROUTED[0], 5)
+        searched = []
+        search = nsp._search_subspace
+
+        def counted(sub, measure, k, seed):
+            searched.append(measure.name)
+            return search(sub, measure, k, seed)
+
+        monkeypatch.setattr(nsp, "_search_subspace", counted)
+        scan = nsp._validated_scans([sub], cost, 1, [0])[0]
+        assert (scan.method, scan.decision) == ("l1_dominance", None)
+        assert nsp._theta(scan.cands[0].q) == 1.0000000000000004
+        nsp._nsp_from_scan(cost, 1, scan)
+        nsp._erc_from_scan(cost, 1, scan)
+        for d in (0.05, 0.1, 0.2):
+            nsp._rrc_from_scan(sub, cost, 1, d, 20_000, scan)
+        assert searched == ["exp_ce1"]
 
 
 class TestWidth:

@@ -130,6 +130,16 @@ class TestMonteCarlo:
         # one fixed matrix: every trial gives the same verdict
         assert summary.erc.p_hat in (0.0, 1.0)
 
+    def test_file_of_another_shape_is_rejected(self, tmp_path):
+        from nsp_lab.subspaces import write_matrix_csv
+
+        path = tmp_path / "fixed.csv"
+        write_matrix_csv(path, gaussian_measurement(3, 5, 99).entries)
+        cfg = ExperimentConfig(n=6, m=3, k=1, trials=4, seed=1,
+                               matrix_source="file", matrix_file=str(path))
+        with pytest.raises(ValueError, match="not m x n"):
+            mc_probability(cfg)
+
     def test_dimension_three_robust_within_exact(self):
         # null spaces of dimension 3 are scanned with random directions; the
         # exact and robust verdicts of a trial must come from the same scan,

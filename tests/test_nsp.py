@@ -20,7 +20,6 @@ from nsp_lab.nsp import (
 )
 from nsp_lab.subspaces import (
     Subspace,
-    as_rng,
     gaussian_measurement,
     null_space,
     perturb_subspace,
@@ -204,6 +203,12 @@ class TestErcMember:
         verdict = erc_member(line(1, 1, 2), cost(L1, 3), 1)
         assert not verdict.member
         assert verdict.theta == pytest.approx(1.0, abs=1e-12)
+
+    def test_sparse_line_has_infinite_theta(self):
+        # z supported inside T: theta = inf, so the margin is -inf, off the band
+        verdict = erc_member(line(0, 0, 1), cost(L1, 3), 1)
+        assert (verdict.member, verdict.theta, verdict.margin, verdict.boundary) == (
+            False, math.inf, -math.inf, False)
 
     def test_boundary_member_exp(self):
         verdict = erc_member(line(1, 1, 2), cost(EXP, 3), 1)
@@ -513,22 +518,27 @@ def serial_refine_scale(direction, measure, k):
     return q0, t0
 
 
-def search_scan(sub, measure, k, rng):
+SEARCH_METHODS = {1: "exact_1d", 2: "sphere_enum"}
+
+
+def search_scan(sub, measure, k, seed):
     """The scan as the search alone gives it, certifying no radius."""
-    cands, evals = nsp._search_subspace(sub, measure, k, rng)
-    return nsp._Scan(cands, evals, sub.dim == 1 and measure.is_homogeneous, 0.0)
+    cands, evals = nsp._search_subspace(sub, measure, k, seed)
+    return nsp._Scan(cands, evals, sub.dim == 1 and measure.is_homogeneous, 0.0,
+                     SEARCH_METHODS[sub.dim])
 
 
 def each(scan):
     """``scan`` of one subspace as a stand-in for :func:`nsp._scan_subspaces`."""
-    return lambda subs, measure, k, seeds: [scan(sub, measure, k, as_rng(seed))
+    return lambda subs, measure, k, seeds: [scan(sub, measure, k, seed)
                                             for sub, seed in zip(subs, seeds)]
 
 
-def serial_scan(sub, measure, k, rng=None):
+def serial_scan(sub, measure, k, seed=None):
     """:func:`search_scan` with the peaks refined one at a time."""
     cands, evals = serial_search(sub, measure, k)
-    return nsp._Scan(cands, evals, sub.dim == 1 and measure.is_homogeneous, 0.0)
+    return nsp._Scan(cands, evals, sub.dim == 1 and measure.is_homogeneous, 0.0,
+                     SEARCH_METHODS[sub.dim])
 
 
 def serial_search(sub, measure, k):

@@ -379,8 +379,8 @@ class TestStackedScan:
         outcomes = set()
         for sub, seed, scan in zip(subs, seeds, scans):
             assert fields(nsp._nsp_from_scan(cost, 1, scan)) == fields(nsp_check(sub, cost, 1, seed))
-            assert fields(nsp._nsc_from_scan(sub, cost, 1, scan)) == fields(nsc(sub, cost, 1, seed))
-            assert (fields(nsp._erc_from_scan(sub, cost, 1, scan))
+            assert fields(nsp._nsc_from_scan(cost, 1, scan)) == fields(nsc(sub, cost, 1, seed))
+            assert (fields(nsp._erc_from_scan(cost, 1, scan))
                     == fields(nsp.erc_member(sub, cost, 1, seed)))
             radius = scan.sound_radius
             for d in ((0.5 * radius, 2.0 * radius) if radius > 0.0 else ()) + (0.2,):
@@ -390,6 +390,27 @@ class TestStackedScan:
         # below the radius where one is certified (l0 certifies none), and beyond it
         assert ("passed_sound" in outcomes) == nsp._dominated(measure)
         assert outcomes - {"passed_sound"}
+
+    def test_no_generator_without_a_dim_three_search(self, monkeypatch):
+        # only a search in dim >= 3 draws random directions: a stack of
+        # planes builds no generator, whichever decider runs on its scans,
+        # the probe's attack-start searches included
+        rng = np.random.default_rng(96)
+        subs = [sample_haar(5, 2, rng) for _ in range(4)]
+        built = []
+        monkeypatch.setattr(nsp, "as_rng", built.append)
+        searches = 0
+        for measure in self.MEASURES + DOMINATED[1:]:
+            cost = CostFunction(measure, 5)
+            for sub, scan in zip(subs, nsp._validated_scans(subs, cost, 1, [21, 22, 23, 24])):
+                nsp._nsp_from_scan(cost, 1, scan)
+                nsp._nsc_from_scan(cost, 1, scan)
+                nsp._erc_from_scan(cost, 1, scan)
+                for d in (0.05, 0.5):
+                    nsp._rrc_from_scan(sub, cost, 1, d, 2_000, scan)
+                if scan.search is not None:
+                    searches += scan.search.cache_info().currsize
+        assert built == [] and searches > 0
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("n,dim", [(4, 1), (5, 2), (7, 2), (6, 3), (8, 4), (9, 3),
