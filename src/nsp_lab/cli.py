@@ -156,6 +156,8 @@ def _cmd_probe(args) -> int:
         "config": _args_hash(args),
         "d": probe.d, "outcome": probe.outcome, "evaluations": probe.evaluations,
     }
+    if probe.exact_radius is not None:
+        row["exact_radius"] = probe.exact_radius
     if probe.violation is not None:
         row.update({
             "violation_z": probe.violation.z,

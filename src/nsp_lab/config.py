@@ -42,6 +42,8 @@ ELEMENT_BUDGET = 16384
 # power-law (l0, lp, l1) certificates and the certified radius also count
 # the C(n, l - 1) vertex lines of an l-dimensional null space, and past the
 # cap fall back to the search (a lower bound, no certified radius); the
+# exact l1 radius counts the 2^n - 1 + (3^n - 1)/2 - n face spans of the l1
+# failure cone (n <= 11), and past the cap keeps the certified radius; the
 # ``enumerate`` solver counts every support of size at most k,
 # sum_{s <= k} C(n, s).  The l1 width enumerates no supports.
 SUPPORT_ENUMERATION_CAP = 100_000

@@ -71,6 +71,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not all(0 < d < math.inf for d in self.d_grid):
             raise ValueError(f"d_grid entries must be finite and positive, got {self.d_grid}")
+        if len(set(self.d_grid)) < len(self.d_grid):
+            # MonteCarloSummary.rrc is keyed by radius: a repeat would be probed
+            # twice and reported once
+            raise ValueError(f"d_grid entries must be distinct, got {self.d_grid}")
         if self.probe_budget < 1:
             raise ValueError(f"probe_budget must be >= 1, got {self.probe_budget}")
         if self.matrix_source not in MATRIX_SOURCES:
@@ -236,9 +240,11 @@ def mc_probability(cfg: ExperimentConfig, threads: int = 1) -> MonteCarloSummary
     Per trial the null space is drawn (Gaussian matrix or Haar) and scanned
     once; membership of the exact-recovery set is decided from that scan,
     and the perturbation probe answers at every radius in the grid, soundly
-    within the scan's certified radius and by an attack beyond it.  The
-    containment of the robust set in the
-    exact set is asserted trial by trial, not just in expectation.
+    within the scan's certified radius or below its exact l1 radius, and
+    beyond them by the witness at that radius or an attack; the exact
+    radius is worked out at most once per trial.  The containment of the
+    robust set in the exact set is asserted trial by trial, not just in
+    expectation.
     """
     indices = list(range(cfg.trials))
     if threads <= 1:

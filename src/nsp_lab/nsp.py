@@ -21,6 +21,16 @@ r(N) = (1 - 2 gamma) / (sqrt(n) kappa) is then violation-free, for l1 and,
 by the dominance rule, for every non-decreasing F with F(t)/t
 non-increasing.
 
+The exact l1 radius needs no search either.  Let
+F = {u : 2 top_k(|u|) >= ||u||_1} be the l1 failure cone.  The least
+relative perturbation that carries a z in N into F is sin∠(u, N) for the
+u in F it reaches, so d is violation-free exactly when d <= rho(N), with
+rho^2 = 1 - max u^T P_N u over unit u in F.  F is a union of polyhedral
+cones, an orthant cut by one half-space, so a maximizer lies in the
+relative interior of a face, where it is a top eigenvector of P_N
+compressed to the face's span: {u_Z = 0}, or {u_Z = 0, h . u = 0} with h
+in {+-1}^{Z^c}.  The spans are enumerated (:func:`_l1_radius`).
+
 The same lines decide the power laws F(1)|t|^p below p = 1 (``l0``,
 ``lp``).  At k = 1, max |z_i|^p / sum_j |z_j|^p over N is
 1 / (1 + min{sum_{j != i} |z_j|^p : z in N, z_i = 1}); that objective is
@@ -99,6 +109,14 @@ _EPS = float(np.finfo(float).eps)
 _VERTEX_CHUNK = 4096      # (l-1)-subsets whose vertex lines are solved in one batch
 _LADDER = 10.0 ** -np.arange(16)   # scales 1, 1/10, ..., 1e-15 at which an l1 witness is tried
 _L1 = builtin_measure("l1")
+
+
+def _faces_enumerable(n: int, k: int) -> bool:
+    """The face spans :func:`_l1_radius` enumerates, the 2^n - 1
+    {u_Z = 0} and the C(n, s) 2^(s-1) {u_Z = 0, h . u = 0} per
+    |Z^c| = s >= 2, count against the one enumeration cap (n <= 11); at
+    k = 0 F holds no unit vector, and the radius stays r(N)."""
+    return k >= 1 and 2**n - 1 + (3**n - 1) // 2 - n <= SUPPORT_ENUMERATION_CAP
 
 
 def _check_support_budget(n: int, k: int) -> None:
@@ -284,10 +302,14 @@ class _Scan:
     ``sound_radius`` is the certified radius, 0.0 when none is certified;
     ``method`` is the :class:`NscReport` method.  ``decision`` is the
     verdict off the band of a measure routed to l1 (:func:`_l1_decision`),
-    else None.  ``search`` runs the one search a decider may need, once:
-    inside the band the routed measure's own, which decides there; else,
-    beside a vertex scan of dim >= 2, the ranking measure's, whose
-    candidates start the probe's attack beyond the certified radius.
+    else None.  ``rho`` works out the exact l1 radius (:func:`_l1_radius`),
+    once, where the radius is certified and the faces are within the cap,
+    except inside the band of a routed measure.  ``search`` runs the one
+    search a decider may need, once: inside the band the routed measure's
+    own, which decides there; else, beside a vertex scan of dim >= 2 that
+    ``rho`` does not decide (``lp``, ``l0``, or past the face cap), the
+    ranking measure's, whose candidates start the probe's attack beyond
+    the certified radius.
     """
 
     cands: list            # ranked _Candidate, best first
@@ -296,7 +318,14 @@ class _Scan:
     sound_radius: float
     method: str
     decision: tuple | None = None
+    rho: Callable[[], tuple[float, float, Array]] | None = None
     search: Callable[[], tuple[list, int]] | None = None
+
+
+def _certified(measure: SparsenessMeasure) -> bool:
+    """l1's radii hold for F: F(1)|t| is l1 up to scale, and l1 dominates
+    the rest (:func:`_dominated`)."""
+    return measure.homogeneity_degree == 1.0 or _dominated(measure)
 
 
 def _dominated(measure: SparsenessMeasure) -> bool:
@@ -413,7 +442,7 @@ def _vertex_scans(bases: Array, measure: SparsenessMeasure, k: int) -> list:
         lines = np.concatenate([lines, z], axis=1)
         keep = np.argsort(-qs, axis=1, kind="stable")[:, :REFINE_PEAKS]
         qs, lines = np.take_along_axis(qs, keep, 1), np.take_along_axis(lines, keep[..., None], 1)
-    certified = p == 1.0 or _dominated(measure)
+    certified = _certified(measure)
     exact = p in (0.0, 1.0) or k <= 1 or l == 1
     method = "exact_1d" if l == 1 else "vertex_enum"
     scans = []
@@ -423,6 +452,76 @@ def _vertex_scans(bases: Array, measure: SparsenessMeasure, k: int) -> list:
         cands = [_Candidate(float(v), d, 1.0) for v, d in zip(q[live], z[live])]
         scans.append(_Scan(cands, count * n, exact, radius, method))
     return scans
+
+
+@functools.cache
+def _face_spans(n: int) -> list:
+    """Per span size s = 1..n: the (C(n, s), s) supports Z^c, and the
+    (1 + 2^(s-1), s, s) orthogonal projectors of R^s onto the span itself
+    and onto each h^perp, h in {+-1}^s with h_0 = 1."""
+    spans = []
+    for s in range(1, n + 1):
+        supports = np.array(list(itertools.combinations(range(n), s)))
+        h = np.array([(1.0,) + signs for signs in itertools.product((1.0, -1.0), repeat=s - 1)])
+        proj = np.eye(s) - h[:, :, None] * h[:, None, :] / s
+        if s == 1:
+            proj = proj[:0]     # h^perp in R^1 is {0}
+        spans.append((supports, np.concatenate([np.eye(s)[None], proj])))
+    return spans
+
+
+def _l1_radius(basis: Array, k: int) -> tuple[float, float, Array]:
+    """The exact l1 robust radius of span(basis) (module docstring), as
+    (rho, lower, u): ``lower`` is rho less the eigensolver's rounding, and
+    u a unit vector of F at which sin∠(u, N) = rho.
+
+    Each face span V is scanned through A = Pi_V Q (Q an orthonormal basis
+    of N): P_N compressed to V is A A^T, whose top eigenvector is A w for
+    the top eigenvector w of the l x l matrix A^T A.  The spans of one size
+    are solved with one batched ``eigh`` in stacks of at most
+    ``_VERTEX_CHUNK`` spans, or of the 2^(s-1) + 1 spans of one support.
+    Only eigenvectors in F count, within ``TOL.membership`` of its
+    boundary: accepting more can only lower rho.  A repeated top eigenvalue
+    hides nothing: an extreme ray of its eigenspace's intersection with the
+    face lies in the relative interior of a smaller face, where it is the
+    one top eigenvector.  The eigenvalues are exact to ~(n + l) eps; the
+    bracket takes 64 n eps off 1 - max u^T P_N u, so ``lower`` is 0 for
+    rho below sqrt(64 n eps), 2.7e-7 at n = 5.
+    """
+    q, _ = np.linalg.qr(basis)
+    n = q.shape[0]
+    best, arg = -1.0, None
+    for supports, proj in _face_spans(n):
+        step = max(1, _VERTEX_CHUNK // len(proj))
+        for lo in range(0, len(supports), step):
+            sup = supports[lo:lo + step]
+            a = proj @ q[sup][:, None]                      # (c, spans, s, l)
+            w, v = np.linalg.eigh(np.swapaxes(a, -1, -2) @ a)
+            lam = w[..., -1].ravel()
+            u = (a @ v[..., -1:]).reshape(lam.size, -1)     # on the support, off it 0
+            top, tot = _topk_total(np.abs(u), k, axis=1)
+            lam = np.where(2.0 * top - tot >= -TOL.membership * tot, lam, -1.0)
+            i = int(np.argmax(lam))
+            if lam[i] > best:
+                best, arg = float(lam[i]), np.zeros(n)
+                arg[sup[i // len(proj)]] = u[i] / math.sqrt(best)
+    gap = 1.0 - best
+    return math.sqrt(max(gap, 0.0)), math.sqrt(max(gap - 64.0 * n * _EPS, 0.0)), arg
+
+
+def _radius_witness(sub, u: Array, k: int) -> tuple[Array, Array]:
+    """(z, e) with z + e on the ray of u, pushed 1e-9 into F first, and
+    ||e|| / ||z|| = sin∠(u, N): z = P_N u and e = (z . u) u - z.  The push
+    scales the top-k coordinates of u by 1 + 1e-9 and the rest by
+    1 - 1e-9, which raises the normalized deficit by 1e-9, clear of the
+    rounding of z + e."""
+    n = u.size
+    push = np.full(n, 1.0 - TOL.boundary_margin)
+    push[np.argpartition(np.abs(u), n - k)[n - k:]] = 1.0 + TOL.boundary_margin
+    u = push * u
+    u /= np.linalg.norm(u)
+    z = sub.basis @ (sub.basis.T @ u)
+    return z, (z @ u) * u - z
 
 
 def _enumerable(sub) -> bool:
@@ -440,21 +539,32 @@ def _scan_subspaces(subs, measure: SparsenessMeasure, k: int, seeds) -> list:
     (:func:`_vertex_scans`).  Every other scan is the search
     (:func:`_search_subspace`), with the radius of the l1 vertex scan when
     the measure is dominated by l1 and the lines are within the cap, else
-    none.  A vertex scan of dim >= 2, or a routed one inside the band,
-    leaves its one search in ``search``.  No generator is built here:
-    :func:`_search_subspace` builds its own, and only in dim >= 3.
+    none.  A certified radius takes the exact one in ``rho`` while the
+    faces are within the cap (:func:`_faces_enumerable`), except inside the
+    band of a routed measure.  A vertex scan of dim >= 2, or a routed one
+    inside the band, leaves its one search in ``search``, unless ``rho``
+    decides the probe: under l1 (any F(1)|t|) and a routed measure.  No
+    generator is built here: :func:`_search_subspace` builds its own, and
+    only in dim >= 3.
     """
     routed, enumerable = _l1_routed(measure), _enumerable(subs[0])
     bases = np.stack([sub.basis for sub in subs])
-    l = subs[0].dim
+    n, l = bases.shape[1:]
+    faces = _faces_enumerable(n, k)
     if not ((routed or _power_law(measure)) and enumerable):
+        certified = _certified(measure) and enumerable
         radii = ([scan.sound_radius for scan in _vertex_scans(bases, _L1, k)]
-                 if _dominated(measure) and enumerable else [0.0] * len(subs))
+                 if certified else [0.0] * len(subs))
         exact = l == 1 and measure.is_homogeneous
         method = "exact_1d" if l == 1 else "sphere_enum" if l == 2 else "multistart"
-        return [_Scan(*_search_subspace(sub, measure, k, seed), exact, radius, method)
-                for sub, seed, radius in zip(subs, seeds, radii)]
+        scans = [_Scan(*_search_subspace(sub, measure, k, seed), exact, radius, method)
+                 for sub, seed, radius in zip(subs, seeds, radii)]
+        if certified and faces:
+            for sub, scan in zip(subs, scans):
+                scan.rho = functools.cache(functools.partial(_l1_radius, sub.basis, k))
+        return scans
     ranking = _L1 if routed else measure
+    certified = _certified(ranking)
     scans = _vertex_scans(bases, ranking, k)
     for sub, seed, scan in zip(subs, seeds, scans):
         searched = ranking if l > 1 else None
@@ -462,6 +572,10 @@ def _scan_subspaces(subs, measure: SparsenessMeasure, k: int, seeds) -> list:
             scan.method, scan.decision = "l1_dominance", _l1_decision(scan.cands, measure, k)
             if scan.decision is None:
                 searched = measure
+        if certified and faces and not (routed and scan.decision is None):
+            scan.rho = functools.cache(functools.partial(_l1_radius, sub.basis, k))
+            if ranking.homogeneity_degree == 1.0:
+                searched = None     # rho decides the probe beyond r(N)
         if searched is not None:
             scan.search = functools.cache(functools.partial(_search_subspace, sub, searched, k, seed))
     return scans
@@ -758,14 +872,20 @@ class RobustnessProbe:
     """Outcome of the radius-d perturbation search.
 
     ``violated`` is sound (the witness was verified by direct evaluation).
-    ``passed_sound`` is sound too: d lies below the certified l1 radius
-    ``certified_radius`` of the subspace, so no perturbation of relative
-    size below d violates the inequality, for l1 and every measure it
-    dominates.  ``passed_at_resolution`` is one-sided: no violation
-    surfaced within the budget.  The violation-free set at radius d
-    contains the d-interior of the exact-recovery set and is contained in
-    its d/(1+d)-interior, so a (true) pass certifies interior membership
-    only at the smaller radius d/(1+d).
+    ``passed_sound`` is sound too: d lies within the certified l1 radius
+    ``certified_radius`` = r(N) of the subspace, or below the lower
+    bracket of its exact l1 radius ``exact_radius`` = rho(N), so no
+    perturbation of relative size below d violates the inequality, for l1
+    and every measure it dominates.  ``exact_radius`` is None where it was
+    not worked out: within r(N), where a vertex line violates, and where
+    the scan has none (past the face cap, at k = 0, inside the band of a
+    routed measure, and for a measure that l1 does not dominate).
+    ``passed_at_resolution`` is one-sided: no violation surfaced within
+    the budget, or, where rho decides, d lies within rounding of rho.  The
+    violation-free set at radius d contains the d-interior of the
+    exact-recovery set and is contained in its d/(1+d)-interior, so a
+    (true) pass certifies interior membership only at the smaller radius
+    d/(1+d).
     """
 
     d: float
@@ -774,6 +894,7 @@ class RobustnessProbe:
     search_budget: int
     evaluations: int
     certified_radius: float = 0.0
+    exact_radius: float | None = None
 
     @property
     def violated(self) -> bool:
@@ -886,15 +1007,17 @@ def rrc_probe(
     """Search for a perturbed-inequality violation at radius d.
 
     Scans the deficit landscape over the subspace.  A radius within the
-    certified l1 radius of the subspace passes soundly with no search
-    (``passed_sound``); otherwise the best candidates are attacked with
-    perturbations from the open ball of radius d ||z||.  ``budget`` caps
-    the attack's evaluations; ``evaluations`` reports the scan's and the
-    attack's.  A measure routed to l1 (:func:`_l1_routed`) takes the l1
-    attack off the band, whose witness (z, e) counts once some t (z + e)
-    verifies under F.  A returned violation is
-    re-verified by direct evaluation; a ``passed_at_resolution`` only
-    certifies that the budgeted search found nothing.
+    certified l1 radius r(N) of the subspace passes soundly with no search
+    (``passed_sound``), and so does, while the faces are within the cap,
+    one below the exact l1 radius rho(N) (module docstring).  Beyond them,
+    under l1 and a measure routed to l1 (:func:`_l1_routed`) off the band,
+    the witness at rho decides; a routed measure's witness (z, e) counts
+    once some t (z + e) verifies under F.  Otherwise the best candidates
+    are attacked with perturbations from the open ball of radius d ||z||.
+    ``budget`` caps the attack's evaluations; ``evaluations`` reports the
+    scan's and the attack's.  A returned violation is re-verified by
+    direct evaluation; a ``passed_at_resolution`` only certifies that the
+    budgeted search found nothing.
     """
     if not 0 < d < math.inf:
         raise ValueError(f"need finite d > 0, got {d}")
@@ -907,13 +1030,13 @@ def _rrc_from_scan(sub, cost, k, d, budget, scan) -> RobustnessProbe:
     measure = cost.measure
     shrink = 1.0 - TOL.strict_shrink
     cands, evals, spent = scan.cands, scan.evaluations, 0   # spent: the attack's, capped by budget
-
-    if d <= scan.sound_radius * shrink:
-        return RobustnessProbe(d, "passed_sound", None, budget, evals, scan.sound_radius)
+    rho = None
 
     def outcome(name, violation=None):
-        return RobustnessProbe(d, name, violation, budget, evals + spent,
-                               certified_radius=scan.sound_radius)
+        return RobustnessProbe(d, name, violation, budget, evals + spent, scan.sound_radius, rho)
+
+    if d <= scan.sound_radius * shrink:
+        return outcome("passed_sound")
 
     attack, search = measure, scan.search
     if scan.decision is not None:
@@ -948,6 +1071,16 @@ def _rrc_from_scan(sub, cost, k, d, budget, scan) -> RobustnessProbe:
             v = make_violation(z, np.zeros(z.size))
             if v is not None:
                 return outcome("violated", v)
+
+    if scan.rho is not None:
+        rho, lower, u = scan.rho()
+        if d < lower * shrink:
+            return outcome("passed_sound")
+        if attack.homogeneity_degree == 1.0:
+            # l1's failure cone is F: the witness at rho decides, and a d
+            # within its rounding of rho finds none
+            v = make_violation(*_radius_witness(sub, u, k))
+            return outcome("passed_at_resolution" if v is None else "violated", v)
 
     # the vertex lines maximize the unperturbed deficit, but an attack from
     # them misses violations that one from the search's candidates finds

@@ -37,6 +37,13 @@ class TestCommands:
         payload = json.loads(out.read_text())
         # the line through (1, 1, 1) has certified l1 radius 1/3 > 0.05
         assert payload["outcome"] == "passed_sound"
+        assert "exact_radius" not in payload
+        # its exact l1 radius is 1/3 too, and decides beyond it
+        code = main(["probe", "--matrix", str(null_111_matrix), "--measure", "l1",
+                     "--k", "1", "--d", "0.34", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        assert (code, payload["outcome"]) == (0, "violated")
+        assert payload["exact_radius"] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_recover(self, null_111_matrix, tmp_path):
         a = np.loadtxt(null_111_matrix, delimiter=",", skiprows=1)
@@ -224,6 +231,12 @@ class TestExitCodes:
         assert main(["mc", *args, "--trials", "3", "--matrix", str(path)]) == 2
         out = capsys.readouterr()
         assert reason in out.err and out.out == ""
+
+    def test_mc_rejects_repeated_radii(self, capsys):
+        assert main(["mc", "--n", "5", "--m", "3", "--k", "1", "--trials", "3",
+                     "--d-grid", "0.05,0.05"]) == 2
+        out = capsys.readouterr()
+        assert "distinct" in out.err and out.out == ""
 
     def test_non_finite_matrix_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "A.csv"

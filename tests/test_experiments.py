@@ -53,6 +53,10 @@ class TestConfig:
         for bad in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 ExperimentConfig(n=5, m=3, k=1, d_grid=(1e-3, bad))
+        # the summary keys rrc by radius, so a repeat would be probed twice
+        # and reported once
+        with pytest.raises(ValueError, match="distinct"):
+            ExperimentConfig(n=5, m=3, k=1, d_grid=(0.05, 1e-3, 0.05))
         with pytest.raises(ValueError):
             ExperimentConfig(n=5, m=3, k=1, probe_budget=0)
         with pytest.raises(ValueError):

@@ -6,18 +6,24 @@ is one linear program per support T of size k and sign pattern s on it:
 max s . z_T subject to z in N and ||z||_1 <= 1 (scipy's HiGHS).  The
 maximum over (T, s) is gamma, and theta = gamma / (1 - gamma).  The oracle
 for lp at k = 1 solves, per coordinate i, for the points of N with z_i = 1
-and l - 1 other coordinates zero.
+and l - 1 other coordinates zero.  The oracle for the exact l1 radius rho
+of a plane is the least distance from its unit vectors, on a dense angle
+grid, to the polyhedral cones that make up the l1 failure cone (scipy's
+NNLS), an upper bracket.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
-from nsp_lab import nsp
+from nsp_lab import experiments, nsp
+from nsp_lab.config import TOL
+from nsp_lab.experiments import ExperimentConfig, mc_probability
 from nsp_lab.measures import CostFunction, SparsenessMeasure, builtin_measure
 from nsp_lab.nsp import nsc, nsp_check, rrc_probe
 from nsp_lab.subspaces import (
@@ -27,7 +33,7 @@ from nsp_lab.subspaces import (
     null_space,
     sample_haar,
 )
-from test_dominance import SQRT_PLUS
+from test_dominance import SQRT_PLUS, assert_verified
 
 L1 = builtin_measure("l1")
 DOMINATED = (builtin_measure("lp", p=0.5), builtin_measure("exp_ce1"),
@@ -74,6 +80,32 @@ def lp_gamma_k1(basis, p):
     return best
 
 
+def cone_distance(z, k):
+    """Distance from z to the l1 failure cone F = {2 top_k(|u|) >= ||u||_1}.
+    F is symmetric in the sign of each coordinate, so the nearest point
+    keeps the signs s of z.  On that orthant F is the union over supports
+    T, |T| = k, of the cones spanned by s_i e_i (i in T) and
+    s_i e_i + s_j e_j (i in T, j not in T), and the distance to each is the
+    residual of a nonnegative least-squares fit (scipy's NNLS)."""
+    n = z.size
+    rays = np.eye(n) * np.where(z >= 0.0, 1.0, -1.0)
+    best = math.inf
+    for support in itertools.combinations(range(n), k):
+        gens = [rays[i] for i in support]
+        gens += [rays[i] + rays[j] for i in support for j in range(n) if j not in support]
+        best = min(best, nnls(np.array(gens).T, z)[1])
+    return best
+
+
+def plane_distances(basis, k, lo, hi, count):
+    """The least distance to F over unit z = basis (cos phi, sin phi) on a
+    grid of ``count`` angles in [lo, hi], and the angle where it lies."""
+    ang = np.linspace(lo, hi, count)
+    dist = [cone_distance(z, k) for z in (basis @ np.vstack([np.cos(ang), np.sin(ang)])).T]
+    i = int(np.argmin(dist))
+    return dist[i], ang[i]
+
+
 def vertex_lines(basis):
     """The lines of one basis that count, from the stacked kernel."""
     return np.vstack([z[full] for z, full in nsp._vertex_lines(basis[None])])
@@ -85,11 +117,15 @@ def orthonormal(rows):
 
 
 def forced_attack(sub, measure, k, d, seed=0):
-    """The probe with its certified radius set aside: the quick starts and
-    the ascent run at every radius."""
+    """The probe with its certified and exact radii set aside: the quick
+    starts and the ascent run at every radius, from the candidates of the
+    search the probe ran before the exact radius (on l1's ranking for l1
+    and a routed measure off the band)."""
     cost = CostFunction(measure, sub.ambient_dim)
     scan = nsp._validated_scans([sub], cost, k, [seed])[0]
-    scan.sound_radius = 0.0
+    scan.sound_radius, scan.rho = 0.0, None
+    if scan.search is None and sub.dim > 1:
+        scan.search = functools.partial(nsp._search_subspace, sub, L1, k, seed)
     return nsp._rrc_from_scan(sub, cost, k, d, 20_000, scan)
 
 
@@ -186,8 +222,10 @@ class TestCertifiedRadius:
         assert certified >= 10
 
     def test_attack_beyond_the_radius_starts_from_the_search(self, monkeypatch):
-        # a member's probe beyond r(N) attacks the search's candidates, so
-        # its verdict and witness are those of the search-only probe
+        # past the face cap a member's probe beyond r(N) attacks the
+        # search's candidates, so its verdict and witness are those of the
+        # search-only probe
+        monkeypatch.setattr(nsp, "_faces_enumerable", lambda n, k: False)
         rng = np.random.default_rng(75)
         cases = []
         for trial in range(40):
@@ -237,6 +275,177 @@ class TestCertifiedRadius:
         monkeypatch.setattr(nsp, "SUPPORT_ENUMERATION_CAP", 10)
         probe = rrc_probe(haar, cost, 1, 0.0256)
         assert (probe.outcome, probe.certified_radius) == ("passed_at_resolution", 0.0)
+
+
+def l1_member(sub, k):
+    return nsp._vertex_scans(sub.basis[None], L1, k)[0].sound_radius > 0.0
+
+
+class TestExactRadius:
+    # rho = min over unit z in N of dist(z, F): the least relative
+    # perturbation that carries z into F is its distance to F
+
+    def test_matches_the_plane_oracle(self):
+        # a dense angle grid gives an upper bracket, 1-Lipschitz in the
+        # angle, and a finer grid around its best approaches rho
+        rng = np.random.default_rng(76)
+        for n, k, count in ((5, 1, 360), (5, 1, 360), (6, 1, 360), (7, 1, 360), (9, 2, 120)):
+            sub = next(s for s in (sample_haar(n, 2, rng) for _ in range(50)) if l1_member(s, k))
+            rho, lower, u = nsp._l1_radius(sub.basis, k)
+            step = math.pi / count
+            coarse, phi = plane_distances(sub.basis, k, 0.0, math.pi - step, count)
+            fine, _ = plane_distances(sub.basis, k, phi - step, phi + step, 201)
+            assert 0.0 < lower <= rho <= fine * (1.0 + 1e-12), (n, k)
+            assert coarse - rho <= step / 2.0 and fine - rho < 1e-6, (n, k)
+            # u lies in F (up to the acceptance tolerance) at angle rho to N
+            assert 2.0 * np.sort(np.abs(u))[n - k:].sum() >= np.abs(u).sum() * (1.0 - 1e-9)
+            assert np.linalg.norm(u - sub.basis @ (sub.basis.T @ u)) == pytest.approx(rho, rel=1e-9)
+
+    def test_repeated_top_eigenvalue_hides_nothing(self):
+        # symmetric planes with face spans whose top eigenvalue is repeated
+        # and not below the maximum (35 on the first plane, 16 of them at
+        # the maximum itself): an extreme ray of the eigenspace within the
+        # face is the one top eigenvector of a smaller face, so rho still
+        # matches the oracle
+        planes = [([1, 1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, -1, -1, -1, -1]),
+                  ([1, 1, 1, 1, 1, 1], [1, -1, 1, -1, 1, -1]),
+                  ([2, 1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 2, 1, 1, 1])]
+        for rows, count in zip(planes, (35, 1, 1)):
+            sub = orthonormal(np.array(rows, dtype=float).T)
+            n = sub.ambient_dim
+            rho = nsp._l1_radius(sub.basis, 1)[0]
+            repeated = 0
+            for supports, proj in nsp._face_spans(n):
+                a = proj @ sub.basis[supports][:, None]
+                w = np.linalg.eigvalsh(np.swapaxes(a, -1, -2) @ a)
+                top = w[..., -1]
+                repeated += int(((top - w[..., -2] < 1e-9) & (top > 1.0 - rho**2 - 1e-9)).sum())
+            assert repeated == count
+            step = math.pi / 360
+            _, phi = plane_distances(sub.basis, 1, 0.0, math.pi - step, 360)
+            fine, _ = plane_distances(sub.basis, 1, phi - step, phi + step, 401)
+            assert rho <= fine * (1.0 + 1e-12) and fine - rho < 1e-8
+
+    def test_witness_above_and_no_attack_below(self):
+        # just above rho the constructed witness violates, verified under
+        # the measure; just below it the attack of the search's candidates
+        # finds nothing, and the dominated lp passes soundly
+        rng = np.random.default_rng(77)
+        members = 0
+        for trial in range(24):
+            n, dim = ((5, 2), (4, 1), (6, 2), (6, 3))[trial % 4]
+            sub = sample_haar(n, dim, rng)
+            if not l1_member(sub, 1):
+                continue
+            members += 1
+            rho = nsp._l1_radius(sub.basis, 1)[0]
+            for measure in (L1,) + DOMINATED[1:]:
+                probe = rrc_probe(sub, CostFunction(measure, n), 1, rho * (1.0 + 1e-6))
+                assert (probe.outcome, probe.exact_radius) == ("violated", rho), measure.name
+                assert_verified(probe, sub, measure, 1)
+                v = probe.violation
+                assert np.linalg.norm(v.n_vec) / np.linalg.norm(v.z) == pytest.approx(rho, rel=1e-7)
+            below = rho * (1.0 - 1e-6)
+            lp = CostFunction(DOMINATED[0], n)
+            assert rrc_probe(sub, lp, 1, below).outcome == "passed_sound"
+            for measure in (L1,) + DOMINATED:
+                assert not forced_attack(sub, measure, 1, below, seed=trial).violated, measure.name
+        assert members >= 8
+
+    def test_faces_count_against_the_cap(self):
+        for n in range(2, 8):
+            spans = sum(len(sup) * len(proj) for sup, proj in nsp._face_spans(n))
+            assert spans == 2**n - 1 + (3**n - 1) // 2 - n
+        assert [n for n in range(2, 14) if nsp._faces_enumerable(n, 1)] == list(range(2, 12))
+        assert not nsp._faces_enumerable(6, 0)
+        # past the face cap, within the vertex cap, the probe keeps r(N)
+        # and the search, whose l1 attack a routed measure takes off the band
+        sub = sample_haar(12, 2, 80)
+        for measure in (L1, DOMINATED[1]):
+            cost = CostFunction(measure, 12)
+            scan = nsp._validated_scans([sub], cost, 1, [0])[0]
+            assert scan.rho is None and scan.search is not None and 0.0 < scan.sound_radius < 0.3
+            probe = rrc_probe(sub, cost, 1, 0.3)
+            assert probe.violated and probe.exact_radius is None
+            assert probe.evaluations > scan.evaluations
+            assert_verified(probe, sub, measure, 1)
+
+    def test_certified_radius_lies_below(self):
+        rng = np.random.default_rng(78)
+        for n, dim, k in ((5, 2, 1), (6, 3, 1), (7, 2, 1), (7, 3, 1), (8, 3, 2), (6, 1, 1),
+                          (9, 4, 2)):
+            for _ in range(6):
+                sub = sample_haar(n, dim, rng)
+                radius = nsp._vertex_scans(sub.basis[None], L1, k)[0].sound_radius
+                rho, lower, _ = nsp._l1_radius(sub.basis, k)
+                assert radius <= rho * (1.0 + 1e-12) and lower <= rho, (n, dim, k)
+
+    def test_boundary_never_passes_soundly(self):
+        # N meets the boundary of F, so rho = 0; the eigensolver reads it as
+        # ~1e-8, and the lower bracket is 0: even with no vertex witness,
+        # d = 1e-12 does not pass soundly, and d = 1e-6 is violated
+        rng = np.random.default_rng(79)
+        rows = [np.array([[1.0], [1.0], [2.0]]),
+                np.array([[1.0], [-1.0], [2.0], [0.0], [0.0]])]
+        rows += [np.column_stack([[1.0, 1.0, 2.0, 0.0, 0.0], rng.standard_normal(5)])
+                 for _ in range(3)]
+        for r in rows:
+            sub = orthonormal(r)
+            rho, lower, _ = nsp._l1_radius(sub.basis, 1)
+            assert lower == 0.0 and rho < 1e-7
+            cost = CostFunction(L1, sub.ambient_dim)
+            scan = nsp._validated_scans([sub], cost, 1, [0])[0]
+            scan.cands = []
+            assert nsp._rrc_from_scan(sub, cost, 1, 1e-12, 20_000, scan).outcome != "passed_sound"
+            probe = nsp._rrc_from_scan(sub, cost, 1, 1e-6, 20_000, scan)
+            assert probe.violated
+            assert_verified(probe, sub, L1, 1)
+
+    @pytest.mark.parametrize("spec", ["l1", "exp_ce1"])
+    def test_mc_non_member_never_passes_soundly(self, monkeypatch, spec):
+        trials = []
+        erc, rrc = experiments._erc_from_scan, experiments._rrc_from_scan
+
+        def erc_seen(*args):
+            verdict = erc(*args)
+            trials.append([verdict.member])
+            return verdict
+
+        def rrc_seen(*args):
+            probe = rrc(*args)
+            trials[-1].append(probe.outcome)
+            return probe
+
+        monkeypatch.setattr(experiments, "_erc_from_scan", erc_seen)
+        monkeypatch.setattr(experiments, "_rrc_from_scan", rrc_seen)
+        summary = mc_probability(ExperimentConfig(5, 3, 1, measure=spec, trials=300,
+                                                  d_grid=(1e-12,)))
+        assert summary.failures == 0 and len(trials) == 300
+        assert {member for member, _ in trials} == {True, False}
+        assert all(member for member, outcome in trials if outcome == "passed_sound")
+
+    @pytest.mark.parametrize("spec, n, m", [("l1", 5, 3), ("l1", 7, 4), ("exp_ce1", 6, 3)])
+    def test_mc_works_out_rho_once_per_member_beyond_r(self, monkeypatch, spec, n, m):
+        # non-members are decided by a vertex line, members within r(N) by
+        # r(N), and none of these draws falls in the band of exp_ce1
+        d_grid = (1e-3, 0.05, 0.2)
+        radius, erc = nsp._l1_radius, experiments._erc_from_scan
+        worked, beyond = [], []
+
+        def counted(*args):
+            worked.append(args)
+            return radius(*args)
+
+        def erc_seen(cost, k, scan):
+            verdict = erc(cost, k, scan)
+            beyond.append(verdict.member
+                          and max(d_grid) > scan.sound_radius * (1.0 - TOL.strict_shrink))
+            return verdict
+
+        monkeypatch.setattr(nsp, "_l1_radius", counted)
+        monkeypatch.setattr(experiments, "_erc_from_scan", erc_seen)
+        mc_probability(ExperimentConfig(n, m, 1, measure=spec, trials=200, d_grid=d_grid))
+        assert len(worked) == sum(beyond) > 0
 
 
 class TestPowerLaws:
